@@ -40,6 +40,18 @@ def jarque_bera(skewness: float, kurtosis: float, n: int) -> float:
     return (n / 6.0) * (skewness ** 2 + (kurtosis - 3.0) ** 2 / 4.0)
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median(x)`` for finite ``x``, without its NaN check (which imports numpy.ma).
+
+    Same partition and the same mean of the middle one or two elements as
+    np.median, so the result is bit-identical, signed zeros included.
+    """
+    half = len(x) // 2
+    middle = [half] if len(x) % 2 else [half - 1, half]
+    part = np.partition(x, middle + [-1])
+    return float(np.mean(part[middle[0]:half + 1]))
+
+
 def summarize(s: Series) -> SummaryStats:
     """Full descriptive-statistics block for one monthly series."""
     x = np.asarray(s.values, dtype=float)
@@ -62,7 +74,7 @@ def summarize(s: Series) -> SummaryStats:
     ssd = float(centered @ centered)
     return SummaryStats(
         mean=mean,
-        median=float(np.median(x)),
+        median=_median(x),
         maximum=float(np.max(x)),
         minimum=float(np.min(x)),
         std_dev=math.sqrt(ssd / (n - 1)),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,16 +121,29 @@ class Panel:
         return self.data[:, self.labels.index(label)]
 
 
-def _parse_value(text: str) -> float:
-    v = float(text)
-    return v
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_date(text: str, date_format: str) -> dt.date:
+    """``strptime(text, date_format).date()``, built directly for plain ISO dates.
+
+    Under the default format an ASCII ``dddd-dd-dd`` field skips strptime;
+    every other field, and any ISO-shaped field that is not a real date, goes
+    to strptime, so the accepted dates and the error messages are its own.
+    """
+    if date_format == "%Y-%m-%d" and _ISO_DATE.fullmatch(text):
+        try:
+            return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
+        except ValueError:
+            pass
+    return dt.datetime.strptime(text, date_format).date()
 
 
 def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
              require_positive: bool = False) -> RawSeries:
     """Load a two-column ``date,value`` CSV into a RawSeries.
 
-    A header row is tolerated and detected by a non-numeric second field.
+    Line 1 is taken as a header when neither its date nor its value parses.
     Rows are sorted by date; duplicate dates are rejected.
     """
     path = Path(path)
@@ -141,17 +155,17 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
             if len(row) != 2:
                 raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
             date_text, value_text = row[0].strip(), row[1].strip()
-            if lineno == 1 and not rows:
-                try:
-                    _parse_value(value_text)
-                except ValueError:
-                    continue  # header row
             try:
-                date = dt.datetime.strptime(date_text, date_format).date()
+                date = _parse_date(date_text, date_format)
             except ValueError as exc:
+                if lineno == 1:
+                    try:
+                        float(value_text)
+                    except ValueError:
+                        continue  # header row
                 raise ParseError(lineno, f"bad date {date_text!r}: {exc}") from exc
             try:
-                value = _parse_value(value_text)
+                value = float(value_text)
             except ValueError as exc:
                 raise ParseError(lineno, f"bad value {value_text!r}") from exc
             if not math.isfinite(value):

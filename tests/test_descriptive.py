@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from longrun.descriptive import correlation, jarque_bera, summarize
 from longrun.distributions import chi2_sf
@@ -73,6 +75,30 @@ class TestSummarize:
     def test_constant_series(self):
         with pytest.raises(ConstantSeries):
             summarize(make_series([2.0] * 10))
+
+
+signed_magnitudes = st.builds(lambda mag, negative: -mag if negative else mag,
+                              st.floats(1e-8, 1e8), st.booleans())
+
+
+class TestMedian:
+    """summarize's median against np.median itself, compared bit for bit."""
+
+    @given(st.lists(signed_magnitudes, min_size=5, max_size=80))
+    def test_bit_identical_to_numpy_odd_and_even(self, values):
+        for x in (values, values[:-1]):
+            assume(len(set(x)) > 1)
+            got = summarize(make_series(x)).median
+            assert got.hex() == float(np.median(x)).hex()
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, -0.0, -0.0, 1.0, -1.0],
+        [-0.0, -0.0, 0.0, -0.0, 2.0, -3.0],
+        [0.0, -0.0, 5.0, -5.0],
+    ])
+    def test_signed_zero_middle(self, values):
+        got = summarize(make_series(values)).median
+        assert got.hex() == float(np.median(values)).hex()
 
 
 class TestCorrelation:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import longrun
 from longrun.cli import main
 from longrun.errors import ConfigError, GapError
 from longrun.report import (
@@ -223,3 +228,22 @@ class TestCli:
 
     def test_bad_input_syntax_exits_one(self, walks_csvs):
         assert main(["summary", "--input", "noequalsign"]) == 1
+
+
+class TestColdRunImports:
+    def test_iso_pipeline_loads_neither_numpy_ma_nor_strptime(self, walks_csvs, tmp_path):
+        # a fresh interpreter, so modules the test process already holds do not count
+        code = (
+            "import json, sys\n"
+            "from longrun.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, [m for m in ('numpy.ma', '_strptime') if m in sys.modules]]))\n"
+        )
+        src = str(Path(longrun.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-c", code, "pipeline", "--input", f"a={walks_csvs['a']}",
+             "--input", f"b={walks_csvs['b']}", "--out", str(tmp_path / "report.txt")],
+            capture_output=True, text=True, env=env, timeout=120, check=True)
+        assert json.loads(done.stdout) == [0, []]

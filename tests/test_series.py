@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from longrun.errors import (
     DuplicateDate,
@@ -13,6 +15,7 @@ from longrun.errors import (
 )
 from longrun.series import (
     RawSeries,
+    _parse_date,
     aggregate_monthly,
     align,
     diff,
@@ -47,6 +50,12 @@ class TestLoadCsv:
     def test_header_detected(self, tmp_path):
         p = write_csv(tmp_path / "h.csv", ["date,value", "2010-09-01,1.5"])
         assert len(load_csv(p)) == 1
+
+    def test_malformed_first_row_is_not_a_header(self, tmp_path):
+        p = write_csv(tmp_path / "h1.csv", ["2000-01-01,1.0x", "2000-01-02,1.5"])
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert err.value.line_number == 1
 
     def test_unsorted_input_sorted(self, tmp_path):
         p = write_csv(tmp_path / "u.csv", ["2010-09-03,3", "2010-09-01,1", "2010-09-02,2"])
@@ -102,6 +111,43 @@ class TestLoadCsv:
         save_csv(first, out)
         second = load_csv(out)
         assert second.points == first.points
+
+
+def parse_outcome(parse, text):
+    """The parsed date, or the ValueError text when parsing fails."""
+    try:
+        return parse(text, "%Y-%m-%d")
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def strptime_date(text, date_format):
+    return dt.datetime.strptime(text, date_format).date()
+
+
+class TestIsoDateFastPath:
+    @pytest.mark.parametrize("text", [
+        "2010-01-04", "2012-02-29", "2013-02-29", "2010-02-30", "0000-01-01",
+        "0001-01-01", "9999-12-31", "2010-13-01", "2010-00-10", "2010-01-00",
+        "2010-01-32", "2010-1-04", " 2010-01-04", "2010-01-04 ",
+        "\uff12\uff10\uff11\uff10-\uff10\uff11-\uff10\uff14",  # full-width digits
+    ])
+    def test_same_date_or_error_as_strptime(self, text):
+        assert parse_outcome(_parse_date, text) == parse_outcome(strptime_date, text)
+
+    @given(st.one_of(
+        st.dates().map(dt.date.isoformat),
+        st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fullmatch=True),
+    ))
+    def test_iso_shaped_fields_match_strptime(self, text):
+        assert parse_outcome(_parse_date, text) == parse_outcome(strptime_date, text)
+
+    def test_impossible_date_reports_strptime_error(self, tmp_path):
+        p = write_csv(tmp_path / "x.csv", ["2013-02-28,1", "2013-02-29,2"])
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert err.value.line_number == 2
+        assert "day is out of range for month" in str(err.value)
 
 
 class TestAggregateMonthly:
