@@ -1,34 +1,36 @@
 """Command-line interface.
 
-Subcommands mirror the report sections (`summary`, `corr`, `unitroot`,
-`lagselect`, `johansen`, `granger`), `pipeline` runs everything, and `synth`
-writes seeded demo datasets so the whole tool can be exercised without any
-external data.  Exit codes: 0 success, 1 usage error, 2 data error.
+The analysis subcommands (`summary`, `corr`, `unitroot`, `lagselect`,
+`johansen`, `granger`) print their slice of the `pipeline` report, which has
+every section; `synth` writes seeded demo datasets so the whole tool can be
+exercised without any external data.  Exit codes: 0 success, 1 usage error,
+2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, LongrunError
-from .report import (
-    PipelineConfig,
-    Report,
-    correlation_section,
-    granger_section,
-    johansen_sections,
-    lag_selection_section,
-    load_inputs,
-    render,
-    run_pipeline,
-    summary_section,
-    unit_root_section,
-)
+from .report import SECTION_ORDER, PipelineConfig, render, run_pipeline
+from .series import RawSeries, save_csv
 from .synth import ProcessSpec, generate
 from .unitroot import CASES
-from .varmodel import select_lag
+
+# Each analysis subcommand is a filter over the pipeline's sections.
+SUBCOMMANDS = {
+    "summary": ("summary statistics table", ("summary_statistics",)),
+    "corr": ("correlation matrix", ("correlation",)),
+    "unitroot": ("ADF and Phillips-Perron tests at level and first difference",
+                 ("unit_root_adf", "unit_root_pp")),
+    "lagselect": ("VAR lag-order selection table", ("lag_selection",)),
+    "johansen": ("Johansen cointegration rank test", ("johansen_trace", "johansen_maxeig")),
+    "granger": ("pairwise Granger causality tests", ("granger",)),
+    "pipeline": ("full report: all sections in order", SECTION_ORDER),
+}
 
 _DEFAULTS = {
     "date_format": "%Y-%m-%d",
@@ -73,15 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Long-run time-series econometrics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, help_text in [
-        ("summary", "summary statistics table"),
-        ("corr", "correlation matrix"),
-        ("unitroot", "ADF and Phillips-Perron tests at level and first difference"),
-        ("lagselect", "VAR lag-order selection table"),
-        ("johansen", "Johansen cointegration rank test"),
-        ("granger", "pairwise Granger causality tests"),
-        ("pipeline", "full report: all sections in order"),
-    ]:
+    for name, (help_text, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "johansen":
@@ -137,10 +131,13 @@ def _effective(args) -> dict:
         flag = getattr(args, flag_name, None)
         if flag is not None:
             return flag
-        if cfg_key in cfg_file:
-            raw = cfg_file[cfg_key]
+        if cfg_key not in cfg_file:
+            return _DEFAULTS[flag_name]
+        raw = cfg_file[cfg_key]
+        try:
             return cast(raw) if cast else raw
-        return _DEFAULTS[flag_name]
+        except ValueError:
+            raise ConfigError(f"config key {cfg_key!r}: cannot interpret {raw!r}") from None
 
     def to_bool(raw: str) -> bool:
         low = raw.strip().lower()
@@ -148,7 +145,7 @@ def _effective(args) -> dict:
             return True
         if low in ("false", "no", "0", "diffs"):
             return False
-        raise ConfigError(f"cannot interpret {raw!r} as a boolean")
+        raise ValueError(raw)
 
     return {
         "inputs": inputs,
@@ -168,6 +165,8 @@ def _parse_inputs(pairs) -> dict:
         name, sep, path = pair.partition("=")
         if not sep or not name.strip() or not path.strip():
             raise ConfigError(f"--input expects NAME=PATH, got {pair!r}")
+        if name.strip() in inputs:
+            raise ConfigError(f"input name {name.strip()!r} given more than once")
         inputs[name.strip()] = path.strip()
     return inputs
 
@@ -193,40 +192,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_sections(args) -> int:
-    eff = _effective(args)
-    cfg = _build_config(eff)
-    command = args.command
-    if command == "pipeline":
-        report = run_pipeline(cfg)
-        _emit(render(report, cfg.output_format), cfg.output_path)
-        return 0
-    cfg.validate()
-    panel = load_inputs(cfg)
-    if command == "summary":
-        sections = [summary_section(panel)]
-    elif command == "corr":
-        sections = [correlation_section(panel)]
-    elif command == "unitroot":
-        sections = [unit_root_section(panel, "adf", cfg.deterministic_case),
-                    unit_root_section(panel, "pp", cfg.deterministic_case)]
-    elif command == "lagselect":
-        _, section = lag_selection_section(panel, cfg.max_lag)
-        sections = [section]
-    elif command == "johansen":
-        lagged = getattr(args, "lagged_diffs", None)
-        if lagged is None:
-            chosen, _ = select_lag(panel, cfg.max_lag)
-            lagged = max(chosen - 1, 0)
-        _, trace_section, maxeig_section = johansen_sections(panel, lagged)
-        sections = [trace_section, maxeig_section]
-    else:  # granger
-        lag = getattr(args, "lag", None)
-        if lag is None:
-            chosen, _ = select_lag(panel, cfg.max_lag)
-            lag = max(chosen, 1)
-        rank, _, _ = johansen_sections(panel, max(lag - 1, 0))
-        sections = [granger_section(panel, lag, cfg.granger_on_levels, cfg.alpha, rank)]
-    _emit(render(Report(sections), cfg.output_format), cfg.output_path)
+    cfg = _build_config(_effective(args))
+    lag = getattr(args, "lag", None)
+    lagged_diffs = getattr(args, "lagged_diffs", None)
+    if lagged_diffs is not None:
+        lag = lagged_diffs + 1
+    report = run_pipeline(cfg, SUBCOMMANDS[args.command][1], lag=lag)
+    _emit(render(report, cfg.output_format), cfg.output_path)
     return 0
 
 
@@ -244,27 +216,22 @@ def _cmd_synth(args) -> int:
     result = generate(kind_map[args.kind])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     if hasattr(result, "labels"):  # Panel
-        for j, label in enumerate(result.labels):
-            path = out_dir / f"{args.kind}_{label}.csv"
-            _write_monthly_csv(path, result.periods, result.data[:, j])
-            written.append(path)
+        columns = [(f"{args.kind}_{label}", result.periods, result.data[:, j])
+                   for j, label in enumerate(result.labels)]
     else:
-        path = out_dir / f"{args.kind}.csv"
         start = result.start_index
-        _write_monthly_csv(path, range(start, start + len(result)), result.values)
+        columns = [(args.kind, range(start, start + len(result)), result.values)]
+    written = []
+    for stem, periods, values in columns:
+        points = tuple((dt.date(int(idx) // 12, int(idx) % 12 + 1, 1), float(v))
+                       for idx, v in zip(periods, values))
+        path = out_dir / f"{stem}.csv"
+        save_csv(RawSeries(stem, points), path)
         written.append(path)
     for path in written:
         sys.stdout.write(f"{path}\n")
     return 0
-
-
-def _write_monthly_csv(path: Path, periods, values) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for idx, v in zip(periods, values):
-            year, month = int(idx) // 12, int(idx) % 12 + 1
-            fh.write(f"{year:04d}-{month:02d}-01,{v:.17g}\n")
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 from .distributions import f_sf
 from .errors import DimensionMismatch, DomainError, TooShort
 from .linalg import ols_fit
-from .series import Panel
+from .series import Panel, lag_matrix
 
 VERDICT_H1 = "H1"  # first column drives the second
 VERDICT_H2 = "H2"  # second column drives the first
@@ -42,19 +42,14 @@ def f_from_ssr(ssr_restricted: float, ssr_unrestricted: float, p: int, d2: int) 
     return num / (ssr_unrestricted / d2)
 
 
-def _lagged(x: np.ndarray, p: int) -> np.ndarray:
-    n = len(x)
-    return np.column_stack([x[p - 1 - j: n - 1 - j] for j in range(p)])
-
-
 def _one_direction(cause: np.ndarray, effect: np.ndarray, labels: tuple, lag: int,
                    on_levels: bool) -> GrangerResult:
     n = len(effect)
     t_used = n - lag
     d2 = t_used - 2 * lag - 1
     y = effect[lag:]
-    own = _lagged(effect, lag)
-    cross = _lagged(cause, lag)
+    own = lag_matrix(effect, lag)
+    cross = lag_matrix(cause, lag)
     const = np.ones((t_used, 1))
     fit_u = ols_fit(np.hstack([const, own, cross]), y)
     fit_r = ols_fit(np.hstack([const, own]), y)

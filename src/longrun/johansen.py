@@ -23,7 +23,7 @@ import numpy as np
 from .distributions import gamma_sf
 from .errors import DomainError, NotPositiveDefinite, TooShort, UnsupportedCase
 from .linalg import residuals_of, solve_generalized_eig
-from .series import Panel
+from .series import Panel, lag_matrix
 
 CASE_CONSTANT = "constant"
 
@@ -113,6 +113,15 @@ def max_eigen_statistics(eigenvalues, effective_obs: int) -> np.ndarray:
     return -effective_obs * np.log1p(-lam)
 
 
+def _trace_rank(trace, crit) -> int:
+    """Sequential trace decision: the first r whose trace(r) falls below its
+    critical value, or m when every hypothesis is rejected."""
+    for r in range(len(trace)):
+        if trace[r] < crit[r]:
+            return r
+    return len(trace)
+
+
 def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT) -> JohansenResult:
     """Run the Johansen rank test on a panel of integrated series.
 
@@ -133,10 +142,7 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT
     dx = np.diff(data, axis=0)
     t_eff = n - k - 1
     # Short-run regressors: intercept plus k lags of the differences.
-    z_cols = [np.ones((t_eff, 1))]
-    for j in range(1, k + 1):
-        z_cols.append(dx[k - j: len(dx) - j])
-    Z = np.hstack(z_cols)
+    Z = np.hstack([np.ones((t_eff, 1)), lag_matrix(dx, k)])
     r0 = residuals_of(dx[k:], Z)
     r1 = residuals_of(data[k: n - 1], Z)
     s00 = r0.T @ r0 / t_eff
@@ -155,11 +161,6 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT
     maxeig_crit = np.array([johansen_critical(case, m - r, "max_eigen") for r in range(m)])
     trace_p = np.array([approx_pvalue("trace", m - r, trace[r]) for r in range(m)])
     maxeig_p = np.array([approx_pvalue("max_eigen", m - r, max_eigen[r]) for r in range(m)])
-    decided = m
-    for r in range(m):
-        if trace[r] < trace_crit[r]:
-            decided = r
-            break
     return JohansenResult(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -172,7 +173,7 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT
         effective_obs=t_eff,
         lagged_diffs=k,
         deterministic_case=case,
-        decided_rank=decided,
+        decided_rank=_trace_rank(trace, trace_crit),
     )
 
 
@@ -183,11 +184,7 @@ def rank_decision(result: JohansenResult) -> tuple:
     the remark "No Co Integration".
     """
     m = len(result.trace_stats)
-    rank = m
-    for r in range(m):
-        if result.trace_stats[r] < result.trace_crit_5pct[r]:
-            rank = r
-            break
+    rank = _trace_rank(result.trace_stats, result.trace_crit_5pct)
     if rank == 0:
         return 0, NO_COINTEGRATION
     if rank == m:

@@ -1,7 +1,8 @@
 """Pipeline orchestration and table rendering.
 
-A Report is an ordered list of eight sections (summary statistics through
-Granger causality).  Sections carry full-precision values plus per-column
+A Report is an ordered list of sections: all eight (summary statistics
+through Granger causality) for the full pipeline, or the subset a caller
+asks for, always in pipeline order.  Sections carry full-precision values plus per-column
 format codes; the text renderer only rounds for display, the JSON renderer
 emits the raw values, so every printed number is a rounding of a value that
 is also available exactly.
@@ -86,7 +87,6 @@ class PipelineConfig:
 
     inputs: dict  # name -> csv path, insertion-ordered
     date_format: str = "%Y-%m-%d"
-    aggregation: str = "mean"
     max_lag: int = 5
     deterministic_case: str = "constant"
     alpha: float = 0.05
@@ -97,8 +97,6 @@ class PipelineConfig:
     def validate(self):
         if len(self.inputs) < 2:
             raise ConfigError("need at least 2 input series")
-        if self.aggregation != "mean":
-            raise ConfigError(f"unsupported aggregation {self.aggregation!r}")
         if self.max_lag < 0:
             raise ConfigError("max_lag must be >= 0")
         if not 0.0 < self.alpha < 1.0:
@@ -340,44 +338,59 @@ def load_inputs(cfg: PipelineConfig) -> Panel:
         return align(*series)
 
 
-def run_pipeline(cfg: PipelineConfig) -> Report:
-    """Execute the full analysis and return all eight report sections.
+def run_pipeline(cfg: PipelineConfig, sections=SECTION_ORDER, *, lag: int | None = None) -> Report:
+    """Run the stages the requested ``sections`` need and return those sections.
 
-    Order: ingest, monthly aggregation, alignment, summary statistics,
-    correlation, ADF and PP at level and first difference, lag selection,
-    Johansen (with the selected lag), Granger.  Errors raised inside a stage
-    carry a ``section`` attribute naming it.
+    Stages run in pipeline order: ingest, monthly aggregation, alignment,
+    summary statistics, correlation, ADF and PP at level and first
+    difference, lag selection, Johansen, Granger.  Lag selection runs for its
+    own section, and for Johansen or Granger when no ``lag`` is given.
+    Johansen runs for its own sections, and for the Granger caveat when the
+    panel is a pair.  Granger uses ``lag`` (by default the selected lag, at
+    least 1) and Johansen ``lag - 1`` lagged differences.  Sections come back
+    in pipeline order; errors raised inside a stage carry a ``section``
+    attribute naming it.
     """
     cfg.validate()
+    wanted = set(sections)
+    if not wanted <= set(SECTION_ORDER):
+        raise ConfigError(f"unknown sections {sorted(wanted - set(SECTION_ORDER))}")
+    if lag is not None and lag < 1:
+        raise ConfigError(f"lag must be >= 1 (lagged differences >= 0), got lag {lag}")
     panel = load_inputs(cfg)
-    sections = []
-    with _stage("summary_statistics"):
-        sections.append(summary_section(panel))
-    with _stage("correlation"):
-        sections.append(correlation_section(panel))
-    with _stage("unit_root_adf"):
-        sections.append(unit_root_section(panel, "adf", cfg.deterministic_case))
-    with _stage("unit_root_pp"):
-        sections.append(unit_root_section(panel, "pp", cfg.deterministic_case))
-    with _stage("lag_selection"):
-        chosen, lag_section = lag_selection_section(panel, cfg.max_lag)
-        sections.append(lag_section)
-    with _stage("johansen_trace"):
-        rank, trace_section, maxeig_section = johansen_sections(panel, max(chosen - 1, 0))
-        sections.append(trace_section)
-        sections.append(maxeig_section)
-    if panel.m == 2:
-        with _stage("granger"):
-            sections.append(granger_section(panel, max(chosen, 1), cfg.granger_on_levels,
-                                             cfg.alpha, rank))
-    else:
-        sections.append(Section(
+    granger_runs = "granger" in wanted and panel.m == 2
+    johansen_runs = granger_runs or bool(wanted & {"johansen_trace", "johansen_maxeig"})
+    built = {}
+
+    def build(name, make):
+        if name in wanted:
+            with _stage(name):
+                built[name] = make()
+
+    build("summary_statistics", lambda: summary_section(panel))
+    build("correlation", lambda: correlation_section(panel))
+    build("unit_root_adf", lambda: unit_root_section(panel, "adf", cfg.deterministic_case))
+    build("unit_root_pp", lambda: unit_root_section(panel, "pp", cfg.deterministic_case))
+    if "lag_selection" in wanted or (lag is None and johansen_runs):
+        with _stage("lag_selection"):
+            chosen, built["lag_selection"] = lag_selection_section(panel, cfg.max_lag)
+        if lag is None:
+            lag = max(chosen, 1)
+    if johansen_runs:
+        with _stage("johansen_trace"):
+            rank, built["johansen_trace"], built["johansen_maxeig"] = johansen_sections(
+                panel, lag - 1)
+    if granger_runs:
+        build("granger", lambda: granger_section(panel, lag, cfg.granger_on_levels,
+                                                 cfg.alpha, rank))
+    elif "granger" in wanted:
+        built["granger"] = Section(
             name="granger",
             title="Granger Causality Analysis",
             skipped=True,
             skip_reason=f"pairwise test needs exactly 2 series, panel has {panel.m}",
-        ))
-    return Report(sections)
+        )
+    return Report([built[name] for name in SECTION_ORDER if name in wanted])
 
 
 def _render_text(report: Report) -> str:

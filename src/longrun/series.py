@@ -182,16 +182,16 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
     return RawSeries(name or path.stem, tuple((d, v) for d, v, _ in rows))
 
 
-def save_csv(raw: RawSeries, path, date_format: str = "%Y-%m-%d") -> None:
-    """Write a RawSeries back to ``date,value`` rows.
+def save_csv(raw: RawSeries, path) -> None:
+    """Write a RawSeries back to ``date,value`` rows with ISO ``YYYY-MM-DD`` dates.
 
     Values are printed with 17 significant digits so a load/save/load cycle
-    reproduces every float bit-exactly.
+    reproduces every date and float bit-exactly.
     """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         for d, v in raw.points:
-            fh.write(f"{d.strftime(date_format)},{v:.17g}\n")
+            fh.write(f"{d.isoformat()},{v:.17g}\n")
 
 
 def aggregate_monthly(raw: RawSeries) -> Series:
@@ -240,12 +240,21 @@ def diff(s: Series, order: int = 1) -> Series:
     return Series(s.name, (start_idx // 12, start_idx % 12 + 1), values)
 
 
-def lag_matrix(s: Series, p: int) -> np.ndarray:
-    """Matrix of p lags: row t holds (s[t-1], ..., s[t-p]) for the last T-p periods."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    n = len(s)
+def lag_matrix(x, p: int) -> np.ndarray:
+    """Matrix of p lags: row t holds (x[t-1], ..., x[t-p]) for the last T-p periods.
+
+    ``x`` is a Series, a 1-D array or a T x m array; a T x m array gives p
+    blocks of m columns, lag 1 first.  With p = 0 the result is an empty
+    (T, 0) block.
+    """
+    if p < 0:
+        raise DomainError("p must be >= 0")
+    x = np.asarray(x.values if isinstance(x, Series) else x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = len(x)
+    if p == 0:
+        return np.empty((n, 0))
     if n <= p:
         raise TooShort(f"series of length {n} has no rows with {p} lags")
-    x = s.values
-    return np.column_stack([x[p - 1 - j: n - 1 - j] for j in range(p)])
+    return np.hstack([x[p - 1 - j: n - 1 - j] for j in range(p)])

@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import norm_cdf
 from .errors import DomainError, TooShort, UnsupportedCase
 from .linalg import coef_covariance_unscaled, ols_fit
-from .series import Series
+from .series import Series, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
 LEVELS = ("1%", "5%", "10%")
@@ -144,11 +144,8 @@ def _df_design(x: np.ndarray, case: str, lags: int):
     dx = np.diff(x)
     n = len(x)
     t_eff = n - 1 - lags
-    y = dx[lags:]
-    cols = [x[lags: n - 1][:, None], _deterministics(case, t_eff)]
-    for j in range(1, lags + 1):
-        cols.append(dx[lags - j: len(dx) - j][:, None])
-    return y, np.hstack(cols), t_eff
+    X = np.hstack([x[lags: n - 1][:, None], _deterministics(case, t_eff), lag_matrix(dx, lags)])
+    return dx[lags:], X, t_eff
 
 
 def _t_ratio_first(X: np.ndarray, y: np.ndarray):
@@ -165,17 +162,14 @@ def default_max_lags(n: int) -> int:
 
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     """Schwarz-criterion lag choice over 0..max_lags on a common sample."""
+    y, widest, t_common = _df_design(x, case, max_lags)
     best_lag, best_sbc = 0, math.inf
-    dx = np.diff(x)
-    n = len(x)
-    t_common = n - 1 - max_lags
-    y = dx[max_lags:]
-    base = [x[max_lags: n - 1][:, None], _deterministics(case, t_common)]
-    lag_cols = [dx[max_lags - j: len(dx) - j][:, None] for j in range(1, max_lags + 1)]
     for lag in range(max_lags + 1):
-        X = np.hstack(base + lag_cols[:lag])
+        # the first columns of the widest design are the design with `lag` lags on
+        # the common sample; copied so each fit gets a fresh contiguous array
+        k = widest.shape[1] - max_lags + lag
+        X = widest[:, :k].copy()
         fit = ols_fit(X, y)
-        k = X.shape[1]
         sbc = math.log(fit.ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, TooShort
 from .linalg import LN_2PI, log_det, ols_fit
-from .series import Panel
+from .series import Panel, lag_matrix
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,6 @@ class LagSelectionRow:
     sbc: float
 
 
-def _var_design(data: np.ndarray, lag: int):
-    n, m = data.shape
-    y = data[lag:]
-    cols = [np.ones((n - lag, 1))]
-    for j in range(1, lag + 1):
-        cols.append(data[lag - j: n - j])
-    return y, np.hstack(cols)
-
-
 def _fit_var_data(data: np.ndarray, lag: int) -> VarFit:
     n, m = data.shape
     if lag < 0:
@@ -53,7 +44,8 @@ def _fit_var_data(data: np.ndarray, lag: int) -> VarFit:
     t_eff = n - lag
     if t_eff <= k:
         raise TooShort(f"panel of length {n} cannot estimate a VAR({lag}) in {m} variables")
-    y, X = _var_design(data, lag)
+    y = data[lag:]
+    X = np.hstack([np.ones((t_eff, 1)), lag_matrix(data, lag)])
     resid = np.empty_like(y)
     B = np.empty((k, m))
     for i in range(m):
@@ -85,16 +77,6 @@ def info_criteria(fit: VarFit) -> tuple:
     n = fit.n_params
     base = -2.0 * fit.loglik / t
     return base + 2.0 * n / t, base + n * math.log(t) / t
-
-
-def raw_schwarz(fit: VarFit) -> float:
-    """Unnormalized Schwarz value T ln det Sigma + N ln T.
-
-    Orders candidate lags identically to the per-observation form on a fixed
-    sample; exposed for reporting.
-    """
-    t = fit.effective_obs
-    return t * log_det(fit.residual_cov) + fit.n_params * math.log(t)
 
 
 def select_lag(panel: Panel, max_lag: int) -> tuple:

@@ -8,16 +8,36 @@ import pytest
 
 import longrun
 from longrun.cli import main
-from longrun.errors import ConfigError, GapError
+from longrun.errors import ConfigError, GapError, TooShort
+from longrun.granger import granger_test
+from longrun.johansen import johansen_test
 from longrun.report import (
     SECTION_ORDER,
     PipelineConfig,
+    Report,
     format_statistic,
+    load_inputs,
     render,
     run_pipeline,
 )
+from longrun.varmodel import select_lag
 
 SECTION_NAMES = list(SECTION_ORDER)
+
+# The slice of the pipeline report each subcommand prints.
+SLICES = {
+    "summary": ["summary_statistics"],
+    "corr": ["correlation"],
+    "unitroot": ["unit_root_adf", "unit_root_pp"],
+    "lagselect": ["lag_selection"],
+    "johansen": ["johansen_trace", "johansen_maxeig"],
+    "granger": ["granger"],
+    "pipeline": SECTION_NAMES,
+}
+
+
+def input_args(csvs):
+    return [arg for name, path in csvs.items() for arg in ("--input", f"{name}={path}")]
 
 
 @pytest.fixture
@@ -105,6 +125,39 @@ class TestPipeline:
         starred = [r for r in rows if r[3] == "*"]
         assert len(starred) == 1
         assert starred[0][0] == 1  # the seeded walk pair selects lag 1
+
+    @pytest.mark.parametrize("max_lag", [0, 5])
+    def test_johansen_and_granger_use_the_selected_lag(self, coint_csvs, max_lag):
+        cfg = PipelineConfig(inputs=coint_csvs, max_lag=max_lag)
+        report = run_pipeline(cfg)
+        panel = load_inputs(cfg)
+        chosen, _ = select_lag(panel, max_lag)
+        lag = max(chosen, 1)
+        johansen = johansen_test(panel, lagged_diffs=lag - 1)
+        forward, backward = granger_test(panel, lag=lag)
+        assert [row[2] for row in report.section("johansen_trace").rows] == \
+            list(johansen.trace_stats)
+        assert [row[2] for row in report.section("granger").rows] == \
+            [backward.f_statistic, forward.f_statistic]
+        assert chosen == (0 if max_lag == 0 else 2)  # both branches of max(chosen, 1)
+
+    def test_stages_run_only_when_a_section_needs_them(self, walks_csvs):
+        # a lag search up to 400 cannot run on 500 months
+        cfg = PipelineConfig(inputs=walks_csvs, max_lag=400)
+        assert run_pipeline(cfg, ["summary_statistics"]).sections[0].rows
+        assert run_pipeline(cfg, ["granger"], lag=1).sections[0].rows
+        with pytest.raises(TooShort) as err:
+            run_pipeline(cfg, ["johansen_trace"])
+        assert err.value.section == "lag_selection"
+
+    def test_lag_below_one_rejected_before_ingest(self):
+        cfg = PipelineConfig(inputs={"a": "/nonexistent/a.csv", "b": "/nonexistent/b.csv"})
+        with pytest.raises(ConfigError):
+            run_pipeline(cfg, lag=0)
+
+    def test_unknown_section_rejected(self, walks_csvs):
+        with pytest.raises(ConfigError):
+            run_pipeline(PipelineConfig(inputs=walks_csvs), ("granger", "bogus"))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -218,6 +271,24 @@ class TestCli:
         cfg.write_text("frobnicate = yes\n", encoding="utf-8")
         assert main(["corr", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("line, key", [("max-lag = abc", "max_lag"),
+                                           ("alpha = high", "alpha"),
+                                           ("levels = maybe", "levels")])
+    def test_config_bad_value_exits_one(self, walks_csvs, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"input = a={walks_csvs['a']}\ninput = b={walks_csvs['b']}\n{line}\n",
+                       encoding="utf-8")
+        assert main(["corr", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("longrun: usage error:")
+        assert repr(key) in err
+
+    def test_repeated_input_name_exits_one(self, walks_csvs, capsys):
+        code = main(["summary", "--input", f"a={walks_csvs['a']}",
+                     "--input", f"a={walks_csvs['b']}", "--input", f"b={walks_csvs['b']}"])
+        assert code == 1
+        assert "'a'" in capsys.readouterr().err
+
     def test_data_error_exits_two(self, capsys):
         code = main(["pipeline", "--input", "a=/nonexistent/x.csv",
                      "--input", "b=/nonexistent/y.csv"])
@@ -228,6 +299,57 @@ class TestCli:
 
     def test_bad_input_syntax_exits_one(self, walks_csvs):
         assert main(["summary", "--input", "noequalsign"]) == 1
+
+
+class TestSubcommandsAreSectionFilters:
+    @pytest.mark.parametrize("pair", ["walks_csvs", "coint_csvs"])
+    def test_each_subcommand_equals_its_slice_of_pipeline(self, pair, request, capsys):
+        csvs = request.getfixturevalue(pair)
+        full = run_pipeline(PipelineConfig(inputs=csvs))
+        capsys.readouterr()  # the fixture's synth output
+        for command, names in SLICES.items():
+            for fmt in ("text", "csv", "json"):
+                assert main([command, *input_args(csvs), "--format", fmt]) == 0
+                want = render(Report([full.section(n) for n in names]), fmt)
+                assert capsys.readouterr().out == want, (command, fmt)
+
+    def test_lag_overrides_match_run_pipeline(self, coint_csvs, capsys):
+        cfg = PipelineConfig(inputs=coint_csvs)
+        capsys.readouterr()
+        for k in (0, 2):
+            assert main(["johansen", *input_args(coint_csvs), "--lagged-diffs", str(k)]) == 0
+            want = render(run_pipeline(cfg, SLICES["johansen"], lag=k + 1))
+            assert capsys.readouterr().out == want
+            assert f"lagged differences: {k}" in want
+        for lag in (1, 3):
+            assert main(["granger", *input_args(coint_csvs), "--lag", str(lag)]) == 0
+            want = render(run_pipeline(cfg, SLICES["granger"], lag=lag))
+            assert capsys.readouterr().out == want
+            assert f"Lag: {lag} (levels)" in want
+
+    def test_granger_on_three_series_is_skipped(self, walks_csvs, tmp_path, capsys):
+        out = tmp_path / "extra"
+        assert main(["synth", "--kind", "ar1", "--seed", "3", "--length", "500",
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        inputs = dict(walks_csvs, c=str(out / "ar1.csv"))
+        assert main(["granger", *input_args(inputs)]) == 0
+        assert "skipped: pairwise test needs exactly 2 series, panel has 3" in \
+            capsys.readouterr().out
+
+    def test_subcommand_errors_name_their_section(self, walks_csvs, capsys):
+        capsys.readouterr()
+        assert main(["granger", *input_args(walks_csvs), "--lag", "200"]) == 2
+        assert capsys.readouterr().err.startswith("longrun: error [granger]: TooShort")
+        assert main(["johansen", *input_args(walks_csvs), "--lagged-diffs", "300"]) == 2
+        assert capsys.readouterr().err.startswith("longrun: error [johansen_trace]: TooShort")
+
+    @pytest.mark.parametrize("override", [["granger", "--lag", "0"],
+                                          ["johansen", "--lagged-diffs", "-1"]])
+    def test_lag_below_one_is_a_usage_error(self, walks_csvs, override, capsys):
+        capsys.readouterr()
+        assert main([override[0], *input_args(walks_csvs), *override[1:]]) == 1
+        assert capsys.readouterr().err.startswith("longrun: usage error: lag must be >= 1")
 
 
 class TestColdRunImports:

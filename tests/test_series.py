@@ -1,4 +1,6 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from longrun.errors import (
+    DomainError,
     DuplicateDate,
     EmptyFile,
     GapError,
@@ -111,6 +114,25 @@ class TestLoadCsv:
         save_csv(first, out)
         second = load_csv(out)
         assert second.points == first.points
+
+    def test_year_below_1000_written_zero_padded(self, tmp_path):
+        out = tmp_path / "early.csv"
+        save_csv(RawSeries("x", ((dt.date(999, 1, 1), 2.5),)), out)
+        assert out.read_text(encoding="utf-8") == "0999-01-01,2.5\n"
+        assert load_csv(out).points == ((dt.date(999, 1, 1), 2.5),)
+
+    @given(st.lists(st.tuples(st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31)),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=20, unique_by=lambda p: p[0]))
+    def test_save_load_round_trip_property(self, points):
+        raw = RawSeries("x", tuple(sorted(points)))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "r.csv"
+            save_csv(raw, out)
+            back = load_csv(out, name="x")
+        assert [d for d, _ in back.points] == [d for d, _ in raw.points]
+        assert [np.float64(v).tobytes() for _, v in back.points] == \
+            [np.float64(v).tobytes() for _, v in raw.points]
 
 
 def parse_outcome(parse, text):
@@ -268,3 +290,20 @@ class TestLagMatrix:
     def test_too_short(self):
         with pytest.raises(TooShort):
             lag_matrix(make_series([1.0, 2.0]), 2)
+
+    def test_zero_lags_is_an_empty_block(self):
+        assert lag_matrix(np.arange(5.0), 0).shape == (5, 0)
+        assert lag_matrix(np.ones((5, 3)), 0).shape == (5, 0)
+        with pytest.raises(DomainError):
+            lag_matrix(np.arange(5.0), -1)
+
+    def test_array_and_series_agree(self):
+        x = Rng(23).normals(30)
+        assert np.array_equal(lag_matrix(x, 3), lag_matrix(make_series(x), 3))
+
+    def test_panel_gives_one_block_per_lag(self):
+        data = np.arange(24.0).reshape(8, 3)
+        m = lag_matrix(data, 2)
+        assert m.shape == (6, 6)
+        for t in range(6):
+            assert list(m[t]) == [*data[t + 1], *data[t]]

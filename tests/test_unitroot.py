@@ -128,6 +128,36 @@ class TestAdf:
         assert 0 <= r.lags_or_bandwidth <= 12
         assert r.effective_obs == 120 - 1 - r.lags_or_bandwidth
 
+    def test_auto_lag_is_schwarz_minimum_on_common_sample(self):
+        # brute-force oracle: every candidate regression rebuilt by hand on the
+        # rows left after dropping the first cap + 1 points, SSR from the
+        # normal equations
+        rng = Rng(31)
+        e = rng.normals(400)
+        dx = np.zeros(400)
+        for t in range(2, 400):
+            dx[t] = 0.5 * dx[t - 1] + 0.3 * dx[t - 2] + e[t]
+        x = np.cumsum(dx)
+        chosen = []
+        for cap in (3, 8):
+            n = len(x)
+            d = np.diff(x)
+            y = d[cap:]
+            t_common = n - 1 - cap
+            sbcs = []
+            for lag in range(cap + 1):
+                cols = [x[cap: n - 1], np.ones(t_common)]
+                cols += [d[cap - j: len(d) - j] for j in range(1, lag + 1)]
+                X = np.column_stack(cols)
+                beta = np.linalg.solve(X.T @ X, X.T @ y)
+                r = y - X @ beta
+                k = X.shape[1]
+                sbcs.append(math.log(r @ r / t_common) + k * math.log(t_common) / t_common)
+            got = adf_test(make_series(x), max_lags=cap)
+            assert got.lags_or_bandwidth == int(np.argmin(sbcs))
+            chosen.append(got.lags_or_bandwidth)
+        assert min(chosen) >= 1  # the AR(2) differences need lags, so the search matters
+
     def test_too_short(self):
         with pytest.raises(TooShort):
             adf_test(make_series(np.arange(8.0)), lags=0)

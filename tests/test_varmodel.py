@@ -4,7 +4,7 @@ import pytest
 from longrun.errors import TooShort
 from longrun.linalg import log_det, ols_fit
 from longrun.synth import ProcessSpec, generate
-from longrun.varmodel import fit_var, info_criteria, raw_schwarz, select_lag
+from longrun.varmodel import fit_var, info_criteria, select_lag
 from longrun.varmodel import _fit_var_data
 
 from conftest import make_panel
@@ -83,14 +83,6 @@ class TestInfoCriteria:
         det_order = log_det(fit_a.residual_cov) < log_det(fit_b.residual_cov)
         assert (aic_a < aic_b) == det_order
         assert (sbc_a < sbc_b) == det_order
-
-    def test_raw_schwarz_same_argmin_as_normalized(self):
-        panel = var_panel(12, 400, (((0.1, 0.0), (0.0, 0.1)), ((0.55, 0.0), (0.0, 0.55))))
-        max_lag = 5
-        fits = [_fit_var_data(panel.data[max_lag - j:], j) for j in range(max_lag + 1)]
-        normalized = [info_criteria(f)[1] for f in fits]
-        raw = [raw_schwarz(f) for f in fits]
-        assert int(np.argmin(normalized)) == int(np.argmin(raw))
 
     def test_log_det_non_increasing_in_lag(self):
         panel = var_panel(15, 500, (((0.5, 0.1), (0.1, 0.5)),))
