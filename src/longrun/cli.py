@@ -103,8 +103,18 @@ _CONFIG_KEYS = frozenset(
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not valid UTF-8: "
+                          f"byte {data[exc.start]:#04x} ({exc.reason})") from None
     values: dict = {"input": []}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -9,7 +9,7 @@ levels around 5e4 make X'X badly scaled, while QR works on X directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,28 +43,41 @@ class OlsFit:
     sigma2: float
     df_resid: int
     loglik: float
+    # the R factor of X = QR, kept for the coefficient covariance
+    _r: np.ndarray = field(default=None, repr=False, compare=False)
 
 
-def _as_design(X, y):
+def _factor(X, y):
+    """Check a least-squares problem and factor its design once.
+
+    ``y`` is one response (1-D) or a T x r block of responses sharing X.
+    Returns float arrays X and y and the reduced QR factors Q, R of X.
+    Requires T > k and a full-column-rank X (relative singular-value
+    threshold 1e-12); raises DimensionMismatch, DomainError, TooShort or
+    RankDeficient.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if X.ndim != 2 or y.ndim != 1:
+    if X.ndim != 2 or y.ndim not in (1, 2):
         raise DimensionMismatch("X must be 2-D and y 1-D")
     if X.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise DomainError("non-finite values in regression inputs")
-    return X, y
-
-
-def _check_rank(X):
+    T, k = X.shape
+    if k < 1:
+        raise DimensionMismatch("X needs at least one column")
+    if T <= k:
+        raise TooShort(f"need more observations ({T}) than regressors ({k})")
     sv = np.linalg.svd(X, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= RANK_RTOL:
         raise RankDeficient(
             f"design matrix is numerically singular (sv ratio {0.0 if sv[0] == 0 else sv[-1] / sv[0]:.2e})"
         )
+    Q, R = np.linalg.qr(X)
+    return X, y, Q, R
 
 
 def ols_fit(X, y) -> OlsFit:
@@ -73,33 +86,24 @@ def ols_fit(X, y) -> OlsFit:
     Requires T > k and a full-column-rank X (relative singular-value
     threshold 1e-12).  Raises DimensionMismatch, TooShort or RankDeficient.
     """
-    X, y = _as_design(X, y)
+    if np.ndim(y) != 1:
+        raise DimensionMismatch("X must be 2-D and y 1-D")
+    X, y, Q, R = _factor(X, y)
     T, k = X.shape
-    if k < 1:
-        raise DimensionMismatch("X needs at least one column")
-    if T <= k:
-        raise TooShort(f"need more observations ({T}) than regressors ({k})")
-    _check_rank(X)
-    Q, R = np.linalg.qr(X)
     beta = np.linalg.solve(R, Q.T @ y)
     resid = y - X @ beta
     ssr = float(resid @ resid)
     df = T - k
     sigma2 = ssr / df
     loglik = math.inf if ssr <= 0.0 else -(T / 2.0) * (1.0 + LN_2PI + math.log(ssr / T))
-    return OlsFit(beta, resid, ssr, sigma2, df, loglik)
+    return OlsFit(beta, resid, ssr, sigma2, df, loglik, R)
 
 
-def coef_covariance_unscaled(X) -> np.ndarray:
-    """(X'X)^-1 computed from the QR factor (multiply by sigma2 for the OLS
+def _unscaled_covariance(fit: OlsFit) -> np.ndarray:
+    """(X'X)^-1 from the fit's R factor (multiply by sigma2 for the OLS
     coefficient covariance)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    _check_rank(X)
-    R = np.linalg.qr(X, mode="r")
-    Rinv = np.linalg.solve(R, np.eye(R.shape[0]))
-    return Rinv @ Rinv.T
+    r_inv = np.linalg.solve(fit._r, np.eye(fit._r.shape[0]))
+    return r_inv @ r_inv.T
 
 
 def residuals_of(Y, Z) -> np.ndarray:

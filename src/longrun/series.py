@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -122,6 +124,7 @@ class Panel:
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions of the digits in YYYY-MM-DD
 
 
 def _parse_date(text: str, date_format: str) -> dt.date:
@@ -139,47 +142,124 @@ def _parse_date(text: str, date_format: str) -> dt.date:
     return dt.datetime.strptime(text, date_format).date()
 
 
+def _iso_dates(texts: list):
+    """Positions and dates of the fields that are plain ASCII ``dddd-dd-dd``
+    real dates, built at once from their digit columns."""
+    n = len(texts)
+    codes = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
+    digits = codes[:, _ISO_DIGITS] - ord("0")  # unsigned: a code below "0" wraps past 9
+    shaped = ((np.fromiter(map(len, texts), np.intp, n) == 10) & (digits <= 9).all(axis=1)
+              & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-")))
+    where = np.flatnonzero(shaped)
+    d = digits[where].astype(np.int64)
+    year, month, day = d[:, :4] @ [1000, 100, 10, 1], d[:, 4:6] @ [10, 1], d[:, 6:] @ [10, 1]
+    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = first.astype("datetime64[D]") + (day - 1)
+    # day 0, or a day past the end of its month, lands in another month
+    real = (year >= 1) & (month >= 1) & (month <= 12) & (days.astype("datetime64[M]") == first)
+    return where[real], days[real].astype(object)
+
+
+def _parse_dates(texts: list, date_format: str) -> list:
+    """``_parse_date`` of each field, up to the first field it rejects."""
+    dates = np.empty(len(texts), dtype=object)
+    rest = range(len(texts))
+    if date_format == "%Y-%m-%d" and texts:
+        where, built = _iso_dates(texts)
+        dates[where] = built
+        todo = np.ones(len(texts), dtype=bool)
+        todo[where] = False
+        rest = np.flatnonzero(todo)
+    for i in rest:
+        try:
+            dates[i] = _parse_date(texts[i], date_format)
+        except ValueError:
+            return dates[:i].tolist()
+    return dates.tolist()
+
+
+def _parse_floats(texts: list) -> list:
+    """``float`` of each field, up to the first field it rejects."""
+    try:
+        return list(map(float, texts))
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(float(text))
+            except ValueError:
+                break
+        return values
+
+
+def _parse_row(lineno: int, row: list, date_format: str, require_positive: bool):
+    """One non-blank CSV record as (date, value), or None for a header on line 1.
+
+    Raises the ParseError of the record's first bad field.
+    """
+    if len(row) != 2:
+        raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
+    date_text, value_text = row[0].strip(), row[1].strip()
+    try:
+        date = _parse_date(date_text, date_format)
+    except ValueError as exc:
+        if lineno == 1:
+            try:
+                float(value_text)
+            except ValueError:
+                return None  # header row
+        raise ParseError(lineno, f"bad date {date_text!r}: {exc}") from exc
+    try:
+        value = float(value_text)
+    except ValueError as exc:
+        raise ParseError(lineno, f"bad value {value_text!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(lineno, f"non-finite value {value_text!r}")
+    if require_positive and value <= 0.0:
+        raise ParseError(lineno, f"value must be positive, got {value_text!r}")
+    return date, value
+
+
 def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
              require_positive: bool = False) -> RawSeries:
     """Load a two-column ``date,value`` CSV into a RawSeries.
 
     Line 1 is taken as a header when neither its date nor its value parses.
-    Rows are sorted by date; duplicate dates are rejected.
+    Rows are sorted by date; duplicate dates are rejected.  A bad row raises
+    the ParseError of the first bad row in the file.
     """
     path = Path(path)
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
-            date_text, value_text = row[0].strip(), row[1].strip()
-            try:
-                date = _parse_date(date_text, date_format)
-            except ValueError as exc:
-                if lineno == 1:
-                    try:
-                        float(value_text)
-                    except ValueError:
-                        continue  # header row
-                raise ParseError(lineno, f"bad date {date_text!r}: {exc}") from exc
-            try:
-                value = float(value_text)
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad value {value_text!r}") from exc
-            if not math.isfinite(value):
-                raise ParseError(lineno, f"non-finite value {value_text!r}")
-            if require_positive and value <= 0.0:
-                raise ParseError(lineno, f"value must be positive, got {value_text!r}")
-            rows.append((date, value, lineno))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"not valid UTF-8: byte {data[exc.start]:#04x} ({exc.reason})") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    linenos = [i for i, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
+    if len(linenos) < len(rows):  # drop blank lines
+        rows = [rows[i - 1] for i in linenos]
+    if linenos and linenos[0] == 1 and _parse_row(1, rows[0], date_format,
+                                                  require_positive) is None:
+        del linenos[0], rows[0]
+    # Each column is checked up to the first failure in the columns before it;
+    # the first failing record is then parsed on its own, to raise its error.
+    wrong = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != 2)
+    head = rows[:wrong[0]] if wrong.size else rows
+    dates = _parse_dates(list(map(str.strip, map(operator.itemgetter(0), head))), date_format)
+    values = _parse_floats(list(map(str.strip, map(operator.itemgetter(1), head[:len(dates)]))))
+    checked = np.array(values, dtype=float)
+    bad = ~np.isfinite(checked)
+    if require_positive:
+        bad |= checked <= 0.0
+    n = int(np.argmax(bad)) if bad.any() else len(values)
+    if n < len(rows):
+        _parse_row(linenos[n], rows[n], date_format, require_positive)
     if not rows:
         raise EmptyFile(f"{path} contains no data rows")
-    rows.sort(key=lambda r: r[0])
-    for prev, cur in zip(rows, rows[1:]):
-        if cur[0] == prev[0]:
-            raise DuplicateDate(cur[0])
-    return RawSeries(name or path.stem, tuple((d, v) for d, v, _ in rows))
+    # sorted in one pass when already in order; RawSeries rejects a duplicate date
+    points = sorted(zip(dates, values), key=operator.itemgetter(0))
+    return RawSeries(name or path.stem, tuple(points))
 
 
 def save_csv(raw: RawSeries, path) -> None:

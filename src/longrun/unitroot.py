@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import DomainError, TooShort, UnsupportedCase
-from .linalg import coef_covariance_unscaled, ols_fit
+from .linalg import _unscaled_covariance, ols_fit
 from .series import Series, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -150,7 +150,7 @@ def _df_design(x: np.ndarray, case: str, lags: int):
 
 def _t_ratio_first(X: np.ndarray, y: np.ndarray):
     fit = ols_fit(X, y)
-    cov = coef_covariance_unscaled(X)
+    cov = _unscaled_covariance(fit)
     se0 = math.sqrt(fit.sigma2 * cov[0, 0])
     return fit, fit.coefficients[0] / se0, se0
 

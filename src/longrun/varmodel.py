@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooShort
-from .linalg import LN_2PI, log_det, ols_fit
+from .linalg import LN_2PI, _factor, log_det
 from .series import Panel, lag_matrix
 
 
@@ -44,14 +44,15 @@ def _fit_var_data(data: np.ndarray, lag: int) -> VarFit:
     t_eff = n - lag
     if t_eff <= k:
         raise TooShort(f"panel of length {n} cannot estimate a VAR({lag}) in {m} variables")
-    y = data[lag:]
-    X = np.hstack([np.ones((t_eff, 1)), lag_matrix(data, lag)])
+    X, y, Q, R = _factor(np.hstack([np.ones((t_eff, 1)), lag_matrix(data, lag)]), data[lag:])
     resid = np.empty_like(y)
     B = np.empty((k, m))
     for i in range(m):
-        fit = ols_fit(X, y[:, i])
-        B[:, i] = fit.coefficients
-        resid[:, i] = fit.residuals
+        # one product per column, as ols_fit forms it: a single Q.T @ y over all
+        # columns sums in another order and moves the last bits of the results
+        beta = np.linalg.solve(R, Q.T @ y[:, i])
+        B[:, i] = beta
+        resid[:, i] = y[:, i] - X @ beta
     sigma = resid.T @ resid / t_eff
     loglik = -(t_eff * m / 2.0) * (1.0 + LN_2PI) - (t_eff / 2.0) * log_det(sigma)
     mats = tuple(B[1 + m * (j - 1): 1 + m * j, :].T.copy() for j in range(1, lag + 1))
@@ -67,7 +68,8 @@ def _fit_var_data(data: np.ndarray, lag: int) -> VarFit:
 
 
 def fit_var(panel: Panel, lag: int) -> VarFit:
-    """Estimate a VAR(lag) equation by equation on the shared regressor set."""
+    """Estimate a VAR(lag) equation by equation on the shared regressor set,
+    which is checked and factored once."""
     return _fit_var_data(panel.data, lag)
 
 

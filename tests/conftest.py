@@ -57,3 +57,17 @@ def coint_pair():
     from longrun.synth import ProcessSpec, generate
 
     return generate(ProcessSpec(kind="cointegrated_pair", length=500, seed=5, beta=2.0))
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Counts calls of ``np.linalg.qr`` made while the test runs; a one-item list."""
+    calls = [0]
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls[0] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    return calls

@@ -5,7 +5,7 @@ import pytest
 
 from longrun.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, TooShort
 from longrun.linalg import (
-    coef_covariance_unscaled,
+    _unscaled_covariance,
     log_det,
     ols_fit,
     residuals_of,
@@ -85,7 +85,7 @@ class TestOlsFit:
     def test_coef_covariance_matches_inverse(self):
         rng = Rng(8)
         X = np.column_stack([np.ones(25), rng.normals(25)])
-        cov = coef_covariance_unscaled(X)
+        cov = _unscaled_covariance(ols_fit(X, rng.normals(25)))
         assert cov == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-9)
 
 

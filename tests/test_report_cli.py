@@ -283,6 +283,26 @@ class TestCli:
         assert err.startswith("longrun: usage error:")
         assert repr(key) in err
 
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "none.cfg"
+        assert main(["summary", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"longrun: usage error: cannot read config file {cfg}: No such file or directory\n")
+
+    def test_config_with_invalid_utf8_is_a_usage_error(self, walks_csvs, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(f"input = a={walks_csvs['a']}\nmax-lag = 3\xff\n".encode("latin-1"))
+        assert main(["summary", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"longrun: usage error: {cfg}:2: not valid UTF-8: byte 0xff (invalid start byte)\n")
+
+    def test_csv_with_invalid_utf8_is_a_data_error(self, walks_csvs, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"2000-01-01,1\n2000-02-01,2\xff\n")
+        assert main(["summary", "--input", f"a={bad}", "--input", f"b={walks_csvs['b']}"]) == 2
+        assert capsys.readouterr().err == ("longrun: error [ingest]: ParseError: line 2: "
+                                           "not valid UTF-8: byte 0xff (invalid start byte)\n")
+
     def test_repeated_input_name_exits_one(self, walks_csvs, capsys):
         code = main(["summary", "--input", f"a={walks_csvs['a']}",
                      "--input", f"a={walks_csvs['b']}", "--input", f"b={walks_csvs['b']}"])

@@ -1,10 +1,12 @@
+import csv
 import datetime as dt
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longrun.errors import (
@@ -97,6 +99,14 @@ class TestLoadCsv:
             load_csv(p, require_positive=True)
         assert load_csv(p).points[0][1] == -4.0
 
+    def test_invalid_utf8_is_a_parse_error_on_its_line(self, tmp_path):
+        p = tmp_path / "u.csv"
+        p.write_bytes(b"2010-09-01,1\r\n2010-09-02,2\xff\n2010-09-03,3\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert err.value.line_number == 2
+        assert str(err.value) == "line 2: not valid UTF-8: byte 0xff (invalid start byte)"
+
     def test_58_month_span(self, tmp_path):
         dates = monthly_dates(2010, 9, 58)
         assert dates[-1] == dt.date(2015, 6, 1)
@@ -133,6 +143,133 @@ class TestLoadCsv:
         assert [d for d, _ in back.points] == [d for d, _ in raw.points]
         assert [np.float64(v).tobytes() for _, v in back.points] == \
             [np.float64(v).tobytes() for _, v in raw.points]
+
+
+def row_loop_load_csv(path, date_format="%Y-%m-%d", name=None, require_positive=False):
+    """load_csv as one loop over the rows, with strptime for every date: the
+    reference for the column-wise load."""
+    path = Path(path)
+    rows = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
+            date_text, value_text = row[0].strip(), row[1].strip()
+            try:
+                date = dt.datetime.strptime(date_text, date_format).date()
+            except ValueError as exc:
+                if lineno == 1:
+                    try:
+                        float(value_text)
+                    except ValueError:
+                        continue  # header row
+                raise ParseError(lineno, f"bad date {date_text!r}: {exc}") from exc
+            try:
+                value = float(value_text)
+            except ValueError as exc:
+                raise ParseError(lineno, f"bad value {value_text!r}") from exc
+            if not math.isfinite(value):
+                raise ParseError(lineno, f"non-finite value {value_text!r}")
+            if require_positive and value <= 0.0:
+                raise ParseError(lineno, f"value must be positive, got {value_text!r}")
+            rows.append((date, value, lineno))
+    if not rows:
+        raise EmptyFile(f"{path} contains no data rows")
+    rows.sort(key=lambda r: r[0])
+    for prev, cur in zip(rows, rows[1:]):
+        if cur[0] == prev[0]:
+            raise DuplicateDate(cur[0])
+    return RawSeries(name or path.stem, tuple((d, v) for d, v, _ in rows))
+
+
+DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
+# dates strptime alone accepts, impossible dates, year 0, other shapes
+ODD_DATES = ("2010-1-5", "2010-01-5", "5/1/2010", "2010-02-30", "30/02/2010", "0000-01-01",
+             "00/01/0000", "2010-13-01", "2010-01-32", "20100105", "2010-01-05T00", "notadate",
+             "", "\uff12\uff10\uff11\uff10-\uff10\uff11-\uff10\uff15", "0001-01-01",
+             "9999-12-31", "2010/01-05", "2010-01/05", "2010.01.05")
+ODD_VALUES = ("inf", "-inf", "nan", "NaN", "1e400", "0", "-0.0", "-1.5", "abc", "", "1_000",
+              "1.0x", "0x10")
+ODD_RECORDS = ([], ["  "], ["a"], ["1", "2", "3"], ["2010-01-04", "1", ""], ["date", "value"],
+               ["Date", "1.5"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, date format): a date,value CSV of plausible rows with up to two
+    faulty records, an optional header, up to two blank lines anywhere,
+    whitespace, quoting and one of three line endings."""
+    date_format = draw(st.sampled_from(DATE_FORMATS))
+    # a narrow date range, so duplicate dates occur
+    good_date = st.dates(dt.date(2009, 12, 1), dt.date(2010, 6, 30)).map(
+        lambda d: d.strftime(date_format))
+    good_value = st.one_of(st.floats(0.5, 1e9),
+                           st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+    records = [[d, v] for d, v in draw(st.lists(st.tuples(good_date, good_value), max_size=12))]
+    faults = st.one_of(st.tuples(st.sampled_from(ODD_DATES), good_value).map(list),
+                       st.tuples(good_date, st.sampled_from(ODD_VALUES)).map(list),
+                       st.sampled_from(ODD_RECORDS).map(list))
+    for _ in range(draw(st.integers(0, 2))):
+        records.insert(draw(st.integers(0, len(records))), draw(faults))
+    if draw(st.booleans()):
+        records.insert(0, ["date", "value"])
+    for _ in range(draw(st.integers(0, 2))):
+        records.insert(draw(st.integers(0, len(records))), [])
+
+    def render(field):
+        if draw(st.booleans()):
+            pad = draw(st.sampled_from(["", " ", "\n"]))
+            return f'"{pad}{field}{pad}"'
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        return f"{pad}{field}{pad}"
+
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(map(render, r)) for r in records)
+    return text + (newline if draw(st.booleans()) else ""), date_format
+
+
+def load_outcome(load, path, date_format, require_positive):
+    """The loaded series with each value's type and bits, or the exception's type and text."""
+    try:
+        raw = load(path, date_format=date_format, require_positive=require_positive)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return raw.name, [(d, type(v), v.hex()) for d, v in raw.points]
+
+
+class TestLoadCsvMatchesRowLoop:
+    @pytest.mark.parametrize("date_format", DATE_FORMATS)
+    @pytest.mark.parametrize("record", [[d, "1.5"] for d in ODD_DATES]
+                             + [[None, v] for v in ODD_VALUES] + list(ODD_RECORDS))
+    def test_each_fault_between_good_rows(self, tmp_path, record, date_format):
+        def day(n):
+            return dt.date(2010, 1, n).strftime(date_format)
+
+        record = [day(5) if field is None else field for field in record]
+        path = tmp_path / "in.csv"
+        path.write_text(f"{day(4)},1\n{','.join(record)}\n{day(6)},2\n", encoding="utf-8")
+        for require_positive in (False, True):
+            assert load_outcome(load_csv, path, date_format, require_positive) == \
+                load_outcome(row_loop_load_csv, path, date_format, require_positive)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_files(), st.booleans())
+    @example(("2010-01-01,1\n2010-01-01,x\n", "%Y-%m-%d"), False)
+    @example(("2010-01-01,1\n2010-01-02,inf\n1,2,3\n", "%Y-%m-%d"), False)
+    @example(("2010-01-02,1\n2010-01-01,-1\n2010-1-3,2\n", "%Y-%m-%d"), True)
+    @example(("date,value\r\n\r\n 2010-01-02 ,\"1\"\r\n2010-02-30,2\r\n", "%Y-%m-%d"), False)
+    @example(("05/01/2010,1\n2010-01-06,2\n", "%d/%m/%Y"), False)
+    @example(("\ndate,value\n2010-01-01,1\n", "%Y-%m-%d"), False)
+    def test_same_series_or_same_error(self, case, require_positive):
+        text, date_format = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(text.encode("utf-8"))
+            want = load_outcome(row_loop_load_csv, path, date_format, require_positive)
+            got = load_outcome(load_csv, path, date_format, require_positive)
+        assert got == want
 
 
 def parse_outcome(parse, text):

@@ -7,6 +7,8 @@ from longrun.errors import TooShort, UnsupportedCase
 from longrun.series import diff
 from longrun.synth import ProcessSpec, Rng, generate
 from longrun.unitroot import (
+    _df_design,
+    _t_ratio_first,
     adf_test,
     bartlett_weights,
     long_run_variance,
@@ -162,6 +164,22 @@ class TestAdf:
         with pytest.raises(TooShort):
             adf_test(make_series(np.arange(8.0)), lags=0)
 
+    @pytest.mark.parametrize("case, lags", [("none", 0), ("constant", 2), ("constant_trend", 5)])
+    def test_t_ratio_bit_identical_to_a_separate_r_factor(self, case, lags):
+        # the standard error once came from a second QR of X (mode "r"); the
+        # fit's own R factor must give the same bits
+        y, X, _ = _df_design(walk(8).values, case, lags)
+        fit, tau, se0 = _t_ratio_first(X, y)
+        R = np.linalg.qr(X, mode="r")
+        r_inv = np.linalg.solve(R, np.eye(R.shape[0]))
+        want = math.sqrt(fit.sigma2 * (r_inv @ r_inv.T)[0, 0])
+        assert se0 == want
+        assert tau == fit.coefficients[0] / want
+
+    def test_one_qr_for_a_fixed_lag_regression(self, qr_calls):
+        adf_test(walk(8), lags=3)
+        assert qr_calls[0] == 1
+
     def test_unsupported_case(self):
         with pytest.raises(UnsupportedCase):
             adf_test(walk(8), case="seasonal")
@@ -209,3 +227,7 @@ class TestPhillipsPerron:
     def test_too_short(self):
         with pytest.raises(TooShort):
             pp_test(make_series(np.arange(10.0)))
+
+    def test_one_qr_per_regression(self, qr_calls):
+        pp_test(walk(8))
+        assert qr_calls[0] == 1

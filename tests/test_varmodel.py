@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from longrun.errors import TooShort
-from longrun.linalg import log_det, ols_fit
+from longrun.errors import DomainError, RankDeficient, TooShort
+from longrun.linalg import LN_2PI, log_det, ols_fit
+from longrun.series import lag_matrix
 from longrun.synth import ProcessSpec, generate
 from longrun.varmodel import fit_var, info_criteria, select_lag
 from longrun.varmodel import _fit_var_data
@@ -16,6 +19,24 @@ def var_panel(seed, length, mats):
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 ZERO = ((0.0, 0.0), (0.0, 0.0))
+
+
+def per_equation_fit(data, lag):
+    """A VAR(lag) fitted as one ``ols_fit`` per equation: (coefficients k x m,
+    residual covariance, loglik).  The reference for the fit that factors the
+    shared design once."""
+    n, m = data.shape
+    X = np.hstack([np.ones((n - lag, 1)), lag_matrix(data, lag)])
+    fits = [ols_fit(X, data[lag:, i]) for i in range(m)]
+    resid = np.column_stack([f.residuals for f in fits])
+    sigma = resid.T @ resid / (n - lag)
+    loglik = -((n - lag) * m / 2.0) * (1.0 + LN_2PI) - ((n - lag) / 2.0) * log_det(sigma)
+    return np.column_stack([f.coefficients for f in fits]), sigma, loglik
+
+
+def coefficient_block(fit):
+    """The k x m coefficients of a VarFit, intercept row first."""
+    return np.vstack([fit.intercept] + [a.T for a in fit.coef_matrices])
 
 
 class TestFitVar:
@@ -45,9 +66,9 @@ class TestFitVar:
         X = np.hstack([np.ones((n - lag, 1))] + [data[lag - j: n - j] for j in range(1, lag + 1)])
         for i in range(m):
             single = ols_fit(X, data[lag:, i])
-            assert fit.intercept[i] == pytest.approx(single.coefficients[0], rel=1e-10)
+            assert fit.intercept[i] == single.coefficients[0]
             stacked = np.concatenate([a[i] for a in fit.coef_matrices])
-            assert stacked == pytest.approx(single.coefficients[1:], rel=1e-10)
+            assert np.array_equal(stacked, single.coefficients[1:])
 
     def test_residual_cov_is_cross_product_over_t(self):
         panel = var_panel(10, 150, (((0.4, 0.1), (0.0, 0.3)),))
@@ -59,7 +80,32 @@ class TestFitVar:
         resid = np.column_stack(
             [ols_fit(X, data[lag:, i]).residuals for i in range(2)]
         )
-        assert fit.residual_cov == pytest.approx(resid.T @ resid / (n - lag), abs=1e-10)
+        assert np.array_equal(fit.residual_cov, resid.T @ resid / (n - lag))
+
+    @pytest.mark.parametrize("seed, m, lag", [(3, 2, 0), (4, 2, 3), (5, 3, 2), (6, 6, 5)])
+    def test_bit_identical_to_per_equation_ols(self, seed, m, lag):
+        data = np.cumsum(np.random.default_rng(seed).standard_normal((180, m)), axis=0)
+        fit = _fit_var_data(data, lag)
+        coefficients, sigma, loglik = per_equation_fit(data, lag)
+        assert np.array_equal(coefficient_block(fit), coefficients)
+        assert np.array_equal(fit.residual_cov, sigma)
+        assert fit.loglik == loglik
+
+    def test_rank_deficient_text_matches_ols_fit(self):
+        x = np.cumsum(np.random.default_rng(7).standard_normal(60))
+        data = np.column_stack([x, x])
+        with pytest.raises(RankDeficient) as want:
+            ols_fit(np.hstack([np.ones((59, 1)), lag_matrix(data, 1)]), data[1:, 0])
+        with pytest.raises(RankDeficient) as got:
+            _fit_var_data(data, 1)
+        assert str(got.value) == str(want.value)
+
+    def test_too_short_and_domain_texts(self):
+        with pytest.raises(TooShort) as err:
+            _fit_var_data(np.ones((3, 2)), 1)
+        assert str(err.value) == "panel of length 3 cannot estimate a VAR(1) in 2 variables"
+        with pytest.raises(DomainError, match=r"^non-finite values in regression inputs$"):
+            _fit_var_data(np.array([[1.0, np.nan], [2.0, 1.0], [3.0, 0.5]]), 0)
 
     def test_effective_obs_and_params(self):
         panel = var_panel(2, 90, (IDENTITY,))
@@ -123,3 +169,20 @@ class TestSelectLag:
     def test_too_short(self):
         with pytest.raises(TooShort):
             select_lag(make_panel(np.arange(8.0), np.arange(8.0)[::-1] ** 2), 4)
+
+    @pytest.mark.parametrize("seed, max_lag", [(12, 5), (15, 3)])
+    def test_criteria_bit_identical_to_per_equation_ols(self, seed, max_lag):
+        panel = var_panel(seed, 300, (((0.5, 0.1), (0.1, 0.5)),))
+        chosen, rows = select_lag(panel, max_lag)
+        t = len(panel) - max_lag
+        for row in rows:
+            _, _, loglik = per_equation_fit(panel.data[max_lag - row.lag:], row.lag)
+            n_params = 2 * (2 * row.lag + 1)
+            assert row.aic == -2.0 * loglik / t + 2.0 * n_params / t
+            assert row.sbc == -2.0 * loglik / t + n_params * math.log(t) / t
+        assert chosen == min(rows, key=lambda r: (r.sbc, r.lag)).lag
+
+    @pytest.mark.parametrize("max_lag", [0, 1, 5])
+    def test_one_qr_per_lag_candidate(self, qr_calls, max_lag):
+        select_lag(var_panel(12, 200, (IDENTITY,)), max_lag)
+        assert qr_calls[0] == max_lag + 1
