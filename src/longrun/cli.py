@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, LongrunError
 from .report import SECTION_ORDER, PipelineConfig, render, run_pipeline
-from .series import RawSeries, save_csv
+from .series import RawSeries, _utf8_fault, save_csv
 from .synth import ProcessSpec, generate
 from .unitroot import CASES
 
@@ -110,9 +110,8 @@ def _read_config_file(path: str) -> dict:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}:{lineno}: not valid UTF-8: "
-                          f"byte {data[exc.start]:#04x} ({exc.reason})") from None
+        lineno, message = _utf8_fault(data, exc)
+        raise ConfigError(f"{path}:{lineno}: {message}") from None
     values: dict = {"input": []}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -12,7 +12,6 @@ import datetime as dt
 import io
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,22 +122,20 @@ class Panel:
         return self.data[:, self.labels.index(label)]
 
 
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions of the digits in YYYY-MM-DD
 
 
 def _parse_date(text: str, date_format: str) -> dt.date:
-    """``strptime(text, date_format).date()``, built directly for plain ISO dates.
+    """``strptime(text, date_format).date()``, built by ``_iso_dates`` for plain ISO dates.
 
-    Under the default format an ASCII ``dddd-dd-dd`` field skips strptime;
-    every other field, and any ISO-shaped field that is not a real date, goes
-    to strptime, so the accepted dates and the error messages are its own.
+    Under the default format an ASCII ``dddd-dd-dd`` real date skips strptime;
+    every other field goes to strptime, so the accepted dates and the error
+    messages are its own.
     """
-    if date_format == "%Y-%m-%d" and _ISO_DATE.fullmatch(text):
-        try:
-            return dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
-        except ValueError:
-            pass
+    if date_format == "%Y-%m-%d":
+        where, built = _iso_dates([text])
+        if where.size:
+            return built[0]
     return dt.datetime.strptime(text, date_format).date()
 
 
@@ -170,9 +167,9 @@ def _parse_dates(texts: list, date_format: str) -> list:
         todo = np.ones(len(texts), dtype=bool)
         todo[where] = False
         rest = np.flatnonzero(todo)
-    for i in rest:
+    for i in rest:  # the fields _iso_dates rejected go to strptime
         try:
-            dates[i] = _parse_date(texts[i], date_format)
+            dates[i] = dt.datetime.strptime(texts[i], date_format).date()
         except ValueError:
             return dates[:i].tolist()
     return dates.tolist()
@@ -190,6 +187,13 @@ def _parse_floats(texts: list) -> list:
             except ValueError:
                 break
         return values
+
+
+def _utf8_fault(data: bytes, exc: UnicodeDecodeError) -> tuple:
+    """Line number and message of the first invalid UTF-8 byte in ``data``,
+    its lines counted as ``str.splitlines`` counts them."""
+    line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+    return line, f"not valid UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
 
 
 def _parse_row(lineno: int, row: list, date_format: str, require_positive: bool):
@@ -233,8 +237,7 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
-                         f"not valid UTF-8: byte {data[exc.start]:#04x} ({exc.reason})") from None
+        raise ParseError(*_utf8_fault(data, exc)) from None
     rows = list(csv.reader(io.StringIO(text, newline="")))
     linenos = [i for i, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
     if len(linenos) < len(rows):  # drop blank lines

@@ -289,9 +289,12 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"longrun: usage error: cannot read config file {cfg}: No such file or directory\n")
 
-    def test_config_with_invalid_utf8_is_a_usage_error(self, walks_csvs, tmp_path, capsys):
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+    def test_config_with_invalid_utf8_is_a_usage_error(self, walks_csvs, tmp_path, capsys,
+                                                       newline):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(f"input = a={walks_csvs['a']}\nmax-lag = 3\xff\n".encode("latin-1"))
+        cfg.write_bytes(f"input = a={walks_csvs['a']}{newline}max-lag = 3\xff{newline}"
+                        .encode("latin-1"))
         assert main(["summary", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             f"longrun: usage error: {cfg}:2: not valid UTF-8: byte 0xff (invalid start byte)\n")

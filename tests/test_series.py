@@ -99,13 +99,19 @@ class TestLoadCsv:
             load_csv(p, require_positive=True)
         assert load_csv(p).points[0][1] == -4.0
 
-    def test_invalid_utf8_is_a_parse_error_on_its_line(self, tmp_path):
+    @pytest.mark.parametrize("data", [
+        b"2010-09-01,1\r\n2010-09-02,2\xff\n2010-09-03,3\n",
+        b"2010-09-01,1\r2010-09-02,2\xff\r2010-09-03,3\r",  # CR-only line endings
+        b"2010-09-01,1\n\r\n2010-09-02,2\xff\n",  # after a blank line: record 3
+    ])
+    def test_invalid_utf8_is_a_parse_error_on_its_line(self, tmp_path, data):
         p = tmp_path / "u.csv"
-        p.write_bytes(b"2010-09-01,1\r\n2010-09-02,2\xff\n2010-09-03,3\n")
+        p.write_bytes(data)
+        line = 3 if b"\n\r\n" in data else 2
         with pytest.raises(ParseError) as err:
             load_csv(p)
-        assert err.value.line_number == 2
-        assert str(err.value) == "line 2: not valid UTF-8: byte 0xff (invalid start byte)"
+        assert err.value.line_number == line
+        assert str(err.value) == f"line {line}: not valid UTF-8: byte 0xff (invalid start byte)"
 
     def test_58_month_span(self, tmp_path):
         dates = monthly_dates(2010, 9, 58)
