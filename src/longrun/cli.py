@@ -32,17 +32,6 @@ SUBCOMMANDS = {
     "pipeline": ("full report: all sections in order", SECTION_ORDER),
 }
 
-_DEFAULTS = {
-    "date_format": "%Y-%m-%d",
-    "max_lag": 5,
-    "alpha": 0.05,
-    "case": "constant",
-    "levels": True,
-    "format": "text",
-    "out": None,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
 
@@ -97,9 +86,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = frozenset(
-    ["input", "date_format", "max_lag", "alpha", "case", "levels", "format", "out"]
-)
+def _to_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "levels"):
+        return True
+    if low in ("false", "no", "0", "diffs"):
+        return False
+    raise ValueError(raw)
+
+
+# Flag dest and config-file key of each setting -> its PipelineConfig field
+# and the parser of its config-file value, in the order settings are read.
+_SETTINGS = {
+    "date_format": ("date_format", str),
+    "max_lag": ("max_lag", int),
+    "alpha": ("alpha", float),
+    "case": ("deterministic_case", str),
+    "levels": ("granger_on_levels", _to_bool),
+    "format": ("output_format", str),
+    "out": ("output_path", str),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -122,50 +128,13 @@ def _read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key != "input" and key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key == "input":
             values["input"].append(value)
         else:
             values[key] = value
     return values
-
-
-def _effective(args) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    cfg_file = _read_config_file(args.config) if args.config else {"input": []}
-    inputs = list(args.input or []) or cfg_file["input"]
-
-    def pick(flag_name, cfg_key, cast=None):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if cfg_key not in cfg_file:
-            return _DEFAULTS[flag_name]
-        raw = cfg_file[cfg_key]
-        try:
-            return cast(raw) if cast else raw
-        except ValueError:
-            raise ConfigError(f"config key {cfg_key!r}: cannot interpret {raw!r}") from None
-
-    def to_bool(raw: str) -> bool:
-        low = raw.strip().lower()
-        if low in ("true", "yes", "1", "levels"):
-            return True
-        if low in ("false", "no", "0", "diffs"):
-            return False
-        raise ValueError(raw)
-
-    return {
-        "inputs": inputs,
-        "date_format": pick("date_format", "date_format"),
-        "max_lag": pick("max_lag", "max_lag", int),
-        "alpha": pick("alpha", "alpha", float),
-        "case": pick("case", "case"),
-        "levels": pick("levels", "levels", to_bool),
-        "format": pick("format", "format"),
-        "out": pick("out", "out"),
-    }
 
 
 def _parse_inputs(pairs) -> dict:
@@ -180,17 +149,21 @@ def _parse_inputs(pairs) -> dict:
     return inputs
 
 
-def _build_config(eff: dict) -> PipelineConfig:
-    return PipelineConfig(
-        inputs=_parse_inputs(eff["inputs"]),
-        date_format=eff["date_format"],
-        max_lag=eff["max_lag"],
-        deterministic_case=eff["case"],
-        alpha=eff["alpha"],
-        granger_on_levels=eff["levels"],
-        output_format=eff["format"],
-        output_path=eff["out"],
-    )
+def _build_config(args) -> PipelineConfig:
+    """Layer flag values over config-file values; a setting given by neither
+    keeps PipelineConfig's default."""
+    cfg_file = _read_config_file(args.config) if args.config else {"input": []}
+    settings = {}
+    for key, (field, parse) in _SETTINGS.items():
+        if getattr(args, key) is not None:
+            settings[field] = getattr(args, key)
+        elif key in cfg_file:
+            try:
+                settings[field] = parse(cfg_file[key])
+            except ValueError:
+                raise ConfigError(
+                    f"config key {key!r}: cannot interpret {cfg_file[key]!r}") from None
+    return PipelineConfig(inputs=_parse_inputs(args.input or cfg_file["input"]), **settings)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -201,7 +174,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_sections(args) -> int:
-    cfg = _build_config(_effective(args))
+    cfg = _build_config(args)
     lag = getattr(args, "lag", None)
     lagged_diffs = getattr(args, "lagged_diffs", None)
     if lagged_diffs is not None:

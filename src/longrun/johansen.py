@@ -32,24 +32,27 @@ CASE_CONSTANT = "constant"
 TRACE_CRIT_5PCT = (3.841466, 15.49471, 29.79707, 47.85613, 69.81889, 95.75366)
 MAXEIG_CRIT_5PCT = (3.841466, 14.26460, 21.13162, 27.58434, 33.87687, 40.07757)
 
-# Gamma(shape, scale) fitted to the 90%/95% quantiles of the asymptotic
-# distributions above (m - r = 1 is exactly chi-square(1) = Gamma(0.5, 2)).
-_TRACE_GAMMA = (
-    (0.5, 2.0),
-    (4.4002416593, 1.8624180380),
-    (11.0320385426, 1.7524757474),
-    (20.4286586758, 1.6858010267),
-    (32.3477330376, 1.6530669445),
-    (46.6576015252, 1.6387240800),
-)
-_MAXEIG_GAMMA = (
-    (0.5, 2.0),
-    (4.0328243217, 1.8287011590),
-    (7.7833179128, 1.6423010791),
-    (11.7278783651, 1.5437181811),
-    (16.1028323020, 1.4589101095),
-    (20.7210830574, 1.3948037196),
-)
+# Statistic kind -> (5% critical values, Gamma(shape, scale) fits), both indexed
+# by m - r.  Each gamma is fitted to the 90%/95% quantiles of its asymptotic
+# distribution (m - r = 1 is exactly chi-square(1) = Gamma(0.5, 2)).
+_TABLES = {
+    "trace": (TRACE_CRIT_5PCT, (
+        (0.5, 2.0),
+        (4.4002416593, 1.8624180380),
+        (11.0320385426, 1.7524757474),
+        (20.4286586758, 1.6858010267),
+        (32.3477330376, 1.6530669445),
+        (46.6576015252, 1.6387240800),
+    )),
+    "max_eigen": (MAXEIG_CRIT_5PCT, (
+        (0.5, 2.0),
+        (4.0328243217, 1.8287011590),
+        (7.7833179128, 1.6423010791),
+        (11.7278783651, 1.5437181811),
+        (16.1028323020, 1.4589101095),
+        (20.7210830574, 1.3948037196),
+    )),
+}
 
 NO_COINTEGRATION = "No Co Integration"
 
@@ -70,6 +73,14 @@ class JohansenResult:
     decided_rank: int
 
 
+def _tables(statistic_kind: str) -> tuple:
+    for kind, tables in _TABLES.items():
+        if statistic_kind == kind:
+            return tables
+    raise UnsupportedCase(
+        f"statistic_kind must be 'trace' or 'max_eigen', got {statistic_kind!r}")
+
+
 def johansen_critical(case: str, m_minus_r: int, statistic_kind: str) -> float:
     """Embedded 5% critical value for the given dimension and statistic."""
     if case != CASE_CONSTANT:
@@ -78,23 +89,14 @@ def johansen_critical(case: str, m_minus_r: int, statistic_kind: str) -> float:
         )
     if not 1 <= m_minus_r <= 6:
         raise UnsupportedCase("critical values cover m - r in 1..6")
-    if statistic_kind == "trace":
-        return TRACE_CRIT_5PCT[m_minus_r - 1]
-    if statistic_kind == "max_eigen":
-        return MAXEIG_CRIT_5PCT[m_minus_r - 1]
-    raise UnsupportedCase(f"statistic_kind must be 'trace' or 'max_eigen', got {statistic_kind!r}")
+    return _tables(statistic_kind)[0][m_minus_r - 1]
 
 
 def approx_pvalue(statistic_kind: str, m_minus_r: int, statistic: float) -> float:
     """Gamma-approximation tail probability for an asymptotic statistic."""
     if not 1 <= m_minus_r <= 6:
         raise UnsupportedCase("p-value approximation covers m - r in 1..6")
-    if statistic_kind == "trace":
-        shape, scale = _TRACE_GAMMA[m_minus_r - 1]
-    elif statistic_kind == "max_eigen":
-        shape, scale = _MAXEIG_GAMMA[m_minus_r - 1]
-    else:
-        raise UnsupportedCase(f"statistic_kind must be 'trace' or 'max_eigen', got {statistic_kind!r}")
+    shape, scale = _tables(statistic_kind)[1][m_minus_r - 1]
     if statistic <= 0.0:
         return 1.0
     return gamma_sf(shape, statistic / scale)

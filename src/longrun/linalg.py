@@ -107,18 +107,10 @@ def _unscaled_covariance(fit: OlsFit) -> np.ndarray:
 
 
 def residuals_of(Y, Z) -> np.ndarray:
-    """Residuals of each column of Y regressed on the columns of Z.
-
-    Z with zero columns returns Y unchanged.
-    """
+    """Residuals of each column of the T x n block Y regressed on the columns
+    of the T x k design Z (k >= 1)."""
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Z.size == 0:
-        return Y.copy()
-    if Z.ndim == 1:
-        Z = Z[:, None]
     if Z.shape[0] != Y.shape[0]:
         raise DimensionMismatch("Y and Z row counts differ")
     Q, _ = np.linalg.qr(Z)

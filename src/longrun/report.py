@@ -14,7 +14,7 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import descriptive, granger as granger_mod, johansen as johansen_mod
 from . import unitroot as unitroot_mod, varmodel
@@ -63,22 +63,8 @@ class Report:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "sections": [
-                {
-                    "name": s.name,
-                    "title": s.title,
-                    "columns": list(s.columns),
-                    "formats": list(s.formats),
-                    "rows": [list(r) for r in s.rows],
-                    "notes": list(s.notes),
-                    "skipped": s.skipped,
-                    "skip_reason": s.skip_reason,
-                }
-                for s in self.sections
-            ],
-        }
+        return {"schema_version": SCHEMA_VERSION,
+                "sections": [asdict(s) for s in self.sections]}
 
 
 @dataclass
@@ -191,32 +177,28 @@ def correlation_section(panel: Panel) -> Section:
 
 
 def unit_root_section(panel: Panel, kind: str, case: str) -> Section:
-    test_name = "Augmented Dickey Fuller" if kind == "adf" else "Phillips-Perron"
+    test, test_name, unit = ((unitroot_mod.adf_test, "Augmented Dickey Fuller", "lags")
+                             if kind == "adf" else
+                             (unitroot_mod.pp_test, "Phillips-Perron", "bandwidth"))
     rows = []
-    level_results = []
-    diff_results = []
     notes = []
+    results = []  # (level, first difference) per series
     for j, label in enumerate(panel.labels):
         s = _series_from_panel(panel, j)
-        if kind == "adf":
-            level = unitroot_mod.adf_test(s, case=case)
-            first = unitroot_mod.adf_test(diff(s), case=case)
-        else:
-            level = unitroot_mod.pp_test(s, case=case)
-            first = unitroot_mod.pp_test(diff(s), case=case)
-        level_results.append(level)
-        diff_results.append(first)
+        level = test(s, case=case)
+        first = test(diff(s), case=case)
+        results.append((level, first))
         rows.append([label, float(level.statistic), float(level.p_value),
                      float(first.statistic), float(first.p_value)])
-        unit = "lags" if kind == "adf" else "bandwidth"
         notes.append(
             f"{label}: level {unit} {level.lags_or_bandwidth} (obs {level.effective_obs}), "
             f"1st difference {unit} {first.lags_or_bandwidth} (obs {first.effective_obs})"
         )
     rows.append(["Critical Values", None, None, None, None])
+    level, first = results[0]
     for lvl in unitroot_mod.LEVELS:
-        rows.append([lvl, float(level_results[0].critical_values[lvl]), None,
-                     float(diff_results[0].critical_values[lvl]), None])
+        rows.append([lvl, float(level.critical_values[lvl]), None,
+                     float(first.critical_values[lvl]), None])
     notes.append(f"Critical values shown for the {panel.labels[0]} regression samples.")
     return Section(
         name=f"unit_root_{kind}",
@@ -244,50 +226,32 @@ def lag_selection_section(panel: Panel, max_lag: int):
     return chosen, section
 
 
-def _hypothesized_label(r: int) -> str:
-    return "None" if r == 0 else f"At most {r}"
-
-
 def johansen_sections(panel: Panel, lagged_diffs: int):
     result = johansen_mod.johansen_test(panel, lagged_diffs=lagged_diffs)
     rank, remark = johansen_mod.rank_decision(result)
-    m = panel.m
     note = (f"Effective observations: {result.effective_obs}; "
             f"lagged differences: {result.lagged_diffs}")
-    trace_rows = []
-    maxeig_rows = []
-    for r in range(m):
-        trace_rows.append([
-            _hypothesized_label(r), float(result.eigenvalues[r]), float(result.trace_stats[r]),
-            float(result.trace_crit_5pct[r]), float(result.trace_pvalues[r]),
-            remark if r == 0 else "",
-        ])
-        maxeig_rows.append([
-            _hypothesized_label(r), float(result.eigenvalues[r]),
-            float(result.max_eigen_stats[r]), float(result.max_eigen_crit_5pct[r]),
-            float(result.max_eigen_pvalues[r]), remark if r == 0 else "",
-        ])
-    trace_section = Section(
-        name="johansen_trace",
-        title="Bivariate Co Integration Analysis Trace Statistics" if m == 2
-        else "Co Integration Analysis Trace Statistics",
-        columns=("Hypothesized No. of CE(s)", "Eigenvalue", "Trace Statistic",
-                 "0.05 Critical Value", "Prob.**", "Remarks"),
-        formats=(None, FMT_STAT, FMT_STAT, FMT_STAT, FMT_PVAL, None),
-        rows=trace_rows,
-        notes=[note, "** p-values from a gamma approximation to the asymptotic distribution"],
-    )
-    maxeig_section = Section(
-        name="johansen_maxeig",
-        title="Bivariate Co Integration Analysis Max-Eigen Value Statistics" if m == 2
-        else "Co Integration Analysis Max-Eigen Value Statistics",
-        columns=("Hypothesized No. of CE(s)", "Eigenvalue", "Max-Eigen Statistic",
-                 "0.05 Critical Value", "Prob.**", "Remarks"),
-        formats=(None, FMT_STAT, FMT_STAT, FMT_STAT, FMT_PVAL, None),
-        rows=maxeig_rows,
-        notes=[note, "** p-values from a gamma approximation to the asymptotic distribution"],
-    )
-    return rank, trace_section, maxeig_section
+    prefix = "Bivariate Co Integration Analysis" if panel.m == 2 else "Co Integration Analysis"
+    sections = []
+    for name, title, column, stats, crit, pvalues in (
+        ("johansen_trace", "Trace Statistics", "Trace Statistic",
+         result.trace_stats, result.trace_crit_5pct, result.trace_pvalues),
+        ("johansen_maxeig", "Max-Eigen Value Statistics", "Max-Eigen Statistic",
+         result.max_eigen_stats, result.max_eigen_crit_5pct, result.max_eigen_pvalues),
+    ):
+        rows = [["None" if r == 0 else f"At most {r}", float(result.eigenvalues[r]),
+                 float(stats[r]), float(crit[r]), float(pvalues[r]), remark if r == 0 else ""]
+                for r in range(panel.m)]
+        sections.append(Section(
+            name=name,
+            title=f"{prefix} {title}",
+            columns=("Hypothesized No. of CE(s)", "Eigenvalue", column,
+                     "0.05 Critical Value", "Prob.**", "Remarks"),
+            formats=(None, FMT_STAT, FMT_STAT, FMT_STAT, FMT_PVAL, None),
+            rows=rows,
+            notes=[note, "** p-values from a gamma approximation to the asymptotic distribution"],
+        ))
+    return rank, *sections
 
 
 def granger_section(panel: Panel, lag: int, on_levels: bool, alpha: float,

@@ -7,6 +7,7 @@ a silent gap would corrupt the effective sample size of every test downstream.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -32,10 +33,6 @@ from .errors import (
 def month_index(year: int, month: int) -> int:
     """Months since year 0, a single integer axis for alignment."""
     return year * 12 + (month - 1)
-
-
-def month_label(index: int) -> str:
-    return f"{index // 12:04d}:{index % 12 + 1:02d}"
 
 
 @dataclass(frozen=True)
@@ -86,9 +83,6 @@ class Series:
     @property
     def end_index(self) -> int:
         return self.start_index + len(self) - 1
-
-    def period_labels(self) -> list:
-        return [month_label(self.start_index + i) for i in range(len(self))]
 
 
 @dataclass(frozen=True)
@@ -233,12 +227,18 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
     the ParseError of the first bad row in the file.
     """
     path = Path(path)
-    data = path.read_bytes()
+    # one byte-order mark is skipped here, not by utf-8-sig, whose error offsets omit it
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(*_utf8_fault(data, exc)) from None
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+        fault = None
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        fault = ParseError(len(rows) + 1, str(exc))
     linenos = [i for i, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
     if len(linenos) < len(rows):  # drop blank lines
         rows = [rows[i - 1] for i in linenos]
@@ -258,6 +258,8 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
     n = int(np.argmax(bad)) if bad.any() else len(values)
     if n < len(rows):
         _parse_row(linenos[n], rows[n], date_format, require_positive)
+    if fault:
+        raise fault
     if not rows:
         raise EmptyFile(f"{path} contains no data rows")
     # sorted in one pass when already in order; RawSeries rejects a duplicate date

@@ -14,6 +14,7 @@ Rewrite the manifest only at a commit whose reports are known good:
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import io
@@ -98,20 +99,27 @@ def cases(root: Path) -> dict:
                                                                   "--format", fmt]
         out[f"{name}/granger/text --lag 2"] = ["granger", *args, "--lag", "2"]
         out[f"{name}/johansen/text --lagged-diffs 2"] = ["johansen", *args, "--lagged-diffs", "2"]
-        out[f"{name}/pipeline --config"] = ["pipeline", "--config", _config(root, name)]
+        cfg = _config(root, name)
+        out[f"{name}/pipeline --config"] = ["pipeline", "--config", cfg]
         out[f"{name}/pipeline --config + flags"] = [
-            "pipeline", "--config", _config(root, name), "--format", "text", "--levels",
+            "pipeline", "--config", cfg, "--format", "text", "--levels",
             "--max-lag", "2", "--case", "constant", "--alpha", "0.01", "--out", ""]
     walks = _inputs(root, "walks")
     bad = root / "bad"
     bad.mkdir(exist_ok=True)
     (bad / "value.cfg").write_text("max-lag = abc\n", encoding="utf-8")
     (bad / "key.cfg").write_text("frobnicate = yes\n", encoding="utf-8")
+    (bad / "long.csv").write_bytes(b"2000-01-01,1\n2000-02-01," + b"1" * 200_000 + b"\n")
+    bom = root / "bom_walks_y1.csv"
+    bom.write_bytes(codecs.BOM_UTF8 + (root / "walks/walks_y1.csv").read_bytes())
     out.update({
+        "walks/summary/text, a with a byte-order mark": ["summary", "--input", f"a={bom}",
+                                                         *walks[2:]],
         "error/config bad value": ["corr", *walks, "--config", str(bad / "value.cfg")],
         "error/config unknown key": ["corr", "--config", str(bad / "key.cfg")],
         "error/config missing": ["summary", "--config", str(bad / "none.cfg")],
         "error/input missing": ["summary", *walks, "--input", f"z={bad}/none.csv"],
+        "error/input field over the csv limit": ["summary", *walks, "--input", f"z={bad}/long.csv"],
         "error/input repeated name": ["summary", *walks, "--input", f"a={root}/coint/coint_x.csv"],
         "error/input one series": ["summary", *walks[:2]],
         "error/input no equals": ["summary", *walks, "--input", "noequalsign"],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import longrun
-from longrun.cli import main
+from longrun.cli import _build_config, build_parser, main
 from longrun.errors import ConfigError, GapError, TooShort
 from longrun.granger import granger_test
 from longrun.johansen import johansen_test
@@ -306,6 +307,13 @@ class TestCli:
         assert capsys.readouterr().err == ("longrun: error [ingest]: ParseError: line 2: "
                                            "not valid UTF-8: byte 0xff (invalid start byte)\n")
 
+    def test_csv_field_over_the_limit_is_a_data_error(self, walks_csvs, tmp_path, capsys):
+        long = tmp_path / "long.csv"
+        long.write_text("2000-01-01,1\n2000-02-01," + "1" * 200_000 + "\n", encoding="utf-8")
+        assert main(["summary", "--input", f"a={long}", "--input", f"b={walks_csvs['b']}"]) == 2
+        assert capsys.readouterr().err == ("longrun: error [ingest]: ParseError: line 2: "
+                                           "field larger than field limit (131072)\n")
+
     def test_repeated_input_name_exits_one(self, walks_csvs, capsys):
         code = main(["summary", "--input", f"a={walks_csvs['a']}",
                      "--input", f"a={walks_csvs['b']}", "--input", f"b={walks_csvs['b']}"])
@@ -373,6 +381,52 @@ class TestSubcommandsAreSectionFilters:
         capsys.readouterr()
         assert main([override[0], *input_args(walks_csvs), *override[1:]]) == 1
         assert capsys.readouterr().err.startswith("longrun: usage error: lag must be >= 1")
+
+
+# Every setting: its config-file line, the flags that say the same, the
+# PipelineConfig field both set and its value, then other flags and their value.
+SETTINGS = {
+    "date_format": ("date_format = %d/%m/%Y", ["--date-format", "%d/%m/%Y"], "date_format",
+                    "%d/%m/%Y", ["--date-format", "%Y%m%d"], "%Y%m%d"),
+    "max_lag": ("max-lag = 3", ["--max-lag", "3"], "max_lag", 3, ["--max-lag", "2"], 2),
+    "alpha": ("alpha = 0.1", ["--alpha", "0.1"], "alpha", 0.1, ["--alpha", "0.01"], 0.01),
+    "case": ("case = none", ["--case", "none"], "deterministic_case", "none",
+             ["--case", "constant_trend"], "constant_trend"),
+    "levels": ("levels = diffs", ["--diffs"], "granger_on_levels", False, ["--levels"], True),
+    "format": ("format = json", ["--format", "json"], "output_format", "json",
+               ["--format", "csv"], "csv"),
+    "out": ("out = r.txt", ["--out", "r.txt"], "output_path", "r.txt", ["--out", "s.txt"],
+            "s.txt"),
+}
+
+
+class TestSettings:
+    def test_every_pipeline_setting_is_listed(self):
+        assert {row[2] for row in SETTINGS.values()} == \
+            {f.name for f in dataclasses.fields(PipelineConfig)} - {"inputs"}
+
+    @staticmethod
+    def config(tmp_path, argv, lines=()):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return _build_config(build_parser().parse_args(["pipeline", "--config", str(cfg), *argv]))
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_config_value_and_flag_build_the_same_config(self, tmp_path, key):
+        line, flags, field, value, _, _ = SETTINGS[key]
+        from_file = self.config(tmp_path, [], [line])
+        assert getattr(from_file, field) == value
+        assert from_file == self.config(tmp_path, flags)
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_unset_setting_keeps_the_pipeline_default(self, tmp_path, key):
+        field = SETTINGS[key][2]
+        assert getattr(self.config(tmp_path, []), field) == getattr(PipelineConfig({}), field)
+
+    @pytest.mark.parametrize("key", SETTINGS)
+    def test_flag_beats_the_config_file(self, tmp_path, key):
+        line, _, field, _, other_flags, other = SETTINGS[key]
+        assert getattr(self.config(tmp_path, other_flags, [line]), field) == other
 
 
 class TestColdRunImports:

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import datetime as dt
 import math
@@ -103,6 +104,7 @@ class TestLoadCsv:
         b"2010-09-01,1\r\n2010-09-02,2\xff\n2010-09-03,3\n",
         b"2010-09-01,1\r2010-09-02,2\xff\r2010-09-03,3\r",  # CR-only line endings
         b"2010-09-01,1\n\r\n2010-09-02,2\xff\n",  # after a blank line: record 3
+        codecs.BOM_UTF8 + b"2010-09-01,1\n2010-09-02,2\xff\n",  # after a byte-order mark
     ])
     def test_invalid_utf8_is_a_parse_error_on_its_line(self, tmp_path, data):
         p = tmp_path / "u.csv"
@@ -112,6 +114,26 @@ class TestLoadCsv:
             load_csv(p)
         assert err.value.line_number == line
         assert str(err.value) == f"line {line}: not valid UTF-8: byte 0xff (invalid start byte)"
+
+    @pytest.mark.parametrize("header", [[], ["date,value"]])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        plain = write_csv(tmp_path / "plain.csv", [*header, "2010-09-01,1.5", "2010-09-02,2"])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load_csv(marked, name="plain") == load_csv(plain)
+
+    @pytest.mark.parametrize("lines, line, message", [
+        (["2010-09-01,1", "2010-09-02,{long}"], 2, "field larger than field limit ({limit})"),
+        (["2010-09-01,1", "", "2010-09-02,{long}"], 3, "field larger than field limit ({limit})"),
+        (["2010-09-01,1", "2010-09-02,x", "2010-09-03,{long}"], 2, "bad value 'x'"),
+    ])
+    def test_field_over_the_csv_limit_is_a_parse_error_on_its_record(self, tmp_path, lines,
+                                                                     line, message):
+        p = write_csv(tmp_path / "long.csv", [r.format(long="1" * 200_000) for r in lines])
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert err.value.line_number == line
+        assert str(err.value) == f"line {line}: " + message.format(limit=csv.field_size_limit())
 
     def test_58_month_span(self, tmp_path):
         dates = monthly_dates(2010, 9, 58)
