@@ -47,6 +47,17 @@ SUBCOMMANDS = ("summary", "corr", "unitroot", "lagselect", "johansen", "granger"
 FORMATS = ("text", "csv", "json")
 PIPELINE_FLAGS = (("--diffs",), ("--case", "none"), ("--max-lag", "3"))
 DMY = "%d/%m/%Y"
+BAD_INPUTS = {  # file stem -> text of a faulty second input, one fault each
+    "impossible_date": "2010-01-31,1.0\n2010-02-30,2.0\n2010-03-01,3.0\n",
+    "bad_value": "2010-01-01,1.0\n2010-02-01,1.0x\n",
+    "inf": "2010-01-01,1.0\n2010-02-01,inf\n",
+    "three_fields": "2010-01-01,1.0\n2010-02-01,2.0,3.0\n",
+    "header_only": "date,value\n",
+    "duplicate_date": "2010-01-01,1.0\n2010-01-01,2.0\n",
+    "bad_date_on_line_1": "Date,1.5\n2010-02-01,2.0\n",
+    "bad_value_on_line_1": "2000-01-01,1.0x\n2000-02-01,2.0\n",
+    "dmy_iso": "date,value\n01/01/2010,1.0\n2010-02-01,2.0\n",
+}
 
 
 def blas_version() -> str:
@@ -110,6 +121,8 @@ def cases(root: Path) -> dict:
     (bad / "value.cfg").write_text("max-lag = abc\n", encoding="utf-8")
     (bad / "key.cfg").write_text("frobnicate = yes\n", encoding="utf-8")
     (bad / "long.csv").write_bytes(b"2000-01-01,1\n2000-02-01," + b"1" * 200_000 + b"\n")
+    for stem, text in BAD_INPUTS.items():
+        (bad / f"{stem}.csv").write_text(text, encoding="utf-8")
     bom = root / "bom_walks_y1.csv"
     bom.write_bytes(codecs.BOM_UTF8 + (root / "walks/walks_y1.csv").read_bytes())
     out.update({
@@ -128,7 +141,14 @@ def cases(root: Path) -> dict:
         "error/pipeline --max-lag 400": ["pipeline", *walks, "--max-lag", "400"],
         "error/pipeline --alpha 2": ["pipeline", *walks, "--alpha", "2"],
         "error/unknown flag": ["summary", *walks, "--frobnicate"],
+        "error/input day-first with an ISO row": [
+            "summary", "--input", f"a={root}/dmy_walks/walks_y1.csv", "--input",
+            f"z={bad}/dmy_iso.csv", "--date-format", DMY],
     })
+    for stem in BAD_INPUTS:
+        if stem != "dmy_iso":
+            out[f"error/input {stem.replace('_', ' ')}"] = [
+                "summary", *walks[:2], "--input", f"z={bad}/{stem}.csv"]
     return out
 
 
