@@ -10,6 +10,7 @@ exercised without any external data.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import codecs
 import datetime as dt
 import sys
 from pathlib import Path
@@ -113,6 +114,7 @@ def _read_config_file(path: str) -> dict:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    data = data.removeprefix(codecs.BOM_UTF8)  # from the bytes, so _utf8_fault counts true lines
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -226,13 +228,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"longrun: usage error: {exc}\n")
         return 1
-    except LongrunError as exc:
+    except (LongrunError, OSError) as exc:
         section = getattr(exc, "section", None)
         where = f" [{section}]" if section else ""
-        sys.stderr.write(f"longrun: error{where}: {type(exc).__name__}: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"longrun: error: {exc}\n")
+        kind = f"{type(exc).__name__}: " if isinstance(exc, LongrunError) else ""
+        sys.stderr.write(f"longrun: error{where}: {kind}{exc}\n")
         return 2
 
 

@@ -182,11 +182,11 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT
 def rank_decision(result: JohansenResult) -> tuple:
     """Sequential trace decision: (rank, remark).
 
-    Tests r = 0 upward and stops at the first non-rejection; rank 0 carries
-    the remark "No Co Integration".
+    The rank is the result's ``decided_rank`` (tests r = 0 upward and stops
+    at the first non-rejection); rank 0 carries the remark "No Co Integration".
     """
     m = len(result.trace_stats)
-    rank = _trace_rank(result.trace_stats, result.trace_crit_5pct)
+    rank = result.decided_rank
     if rank == 0:
         return 0, NO_COINTEGRATION
     if rank == m:

@@ -95,10 +95,10 @@ class PipelineConfig:
 
 @contextlib.contextmanager
 def _stage(section_name: str):
-    """Tag any LongrunError escaping the block with the section it came from."""
+    """Tag any LongrunError or OSError escaping the block with the section it came from."""
     try:
         yield
-    except LongrunError as exc:
+    except (LongrunError, OSError) as exc:
         exc.section = section_name
         raise
 

@@ -119,20 +119,6 @@ class Panel:
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions of the digits in YYYY-MM-DD
 
 
-def _parse_date(text: str, date_format: str) -> dt.date:
-    """``strptime(text, date_format).date()``, built by ``_iso_dates`` for plain ISO dates.
-
-    Under the default format an ASCII ``dddd-dd-dd`` real date skips strptime;
-    every other field goes to strptime, so the accepted dates and the error
-    messages are its own.
-    """
-    if date_format == "%Y-%m-%d":
-        where, built = _iso_dates([text])
-        if where.size:
-            return built[0]
-    return dt.datetime.strptime(text, date_format).date()
-
-
 def _iso_dates(texts: list):
     """Positions and dates of the fields that are plain ASCII ``dddd-dd-dd``
     real dates, built at once from their digit columns."""
@@ -151,8 +137,14 @@ def _iso_dates(texts: list):
     return where[real], days[real].astype(object)
 
 
-def _parse_dates(texts: list, date_format: str) -> list:
-    """``_parse_date`` of each field, up to the first field it rejects."""
+def _parse_dates(texts: list, date_format: str) -> tuple:
+    """``strptime(text, date_format).date()`` of each field up to the first
+    field it rejects, and that field's ValueError (None when every field parses).
+
+    Under the default format the plain ASCII ``dddd-dd-dd`` real dates are
+    built by ``_iso_dates``; every other field goes to strptime, so the
+    accepted dates and the error messages are its own.
+    """
     dates = np.empty(len(texts), dtype=object)
     rest = range(len(texts))
     if date_format == "%Y-%m-%d" and texts:
@@ -164,9 +156,9 @@ def _parse_dates(texts: list, date_format: str) -> list:
     for i in rest:  # the fields _iso_dates rejected go to strptime
         try:
             dates[i] = dt.datetime.strptime(texts[i], date_format).date()
-        except ValueError:
-            return dates[:i].tolist()
-    return dates.tolist()
+        except ValueError as exc:
+            return dates[:i].tolist(), exc
+    return dates.tolist(), None
 
 
 def _parse_floats(texts: list) -> list:
@@ -190,36 +182,14 @@ def _utf8_fault(data: bytes, exc: UnicodeDecodeError) -> tuple:
     return line, f"not valid UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
 
 
-def _parse_row(lineno: int, row: list, date_format: str, require_positive: bool):
-    """One non-blank CSV record as (date, value), or None for a header on line 1.
-
-    Raises the ParseError of the record's first bad field.
-    """
-    if len(row) != 2:
-        raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
-    date_text, value_text = row[0].strip(), row[1].strip()
-    try:
-        date = _parse_date(date_text, date_format)
-    except ValueError as exc:
-        if lineno == 1:
-            try:
-                float(value_text)
-            except ValueError:
-                return None  # header row
-        raise ParseError(lineno, f"bad date {date_text!r}: {exc}") from exc
-    try:
-        value = float(value_text)
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad value {value_text!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(lineno, f"non-finite value {value_text!r}")
-    if require_positive and value <= 0.0:
-        raise ParseError(lineno, f"value must be positive, got {value_text!r}")
-    return date, value
+def _is_header(row: list, date_format: str) -> bool:
+    """A record of 2 fields whose date and value both fail to parse."""
+    fields = [text.strip() for text in row]
+    return (len(fields) == 2 and _parse_dates(fields[:1], date_format)[1] is not None
+            and not _parse_floats(fields[1:]))
 
 
-def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
-             require_positive: bool = False) -> RawSeries:
+def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None) -> RawSeries:
     """Load a two-column ``date,value`` CSV into a RawSeries.
 
     Line 1 is taken as a header when neither its date nor its value parses.
@@ -242,22 +212,28 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None,
     linenos = [i for i, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
     if len(linenos) < len(rows):  # drop blank lines
         rows = [rows[i - 1] for i in linenos]
-    if linenos and linenos[0] == 1 and _parse_row(1, rows[0], date_format,
-                                                  require_positive) is None:
+    if linenos and linenos[0] == 1 and _is_header(rows[0], date_format):
         del linenos[0], rows[0]
-    # Each column is checked up to the first failure in the columns before it;
-    # the first failing record is then parsed on its own, to raise its error.
+    # Every column is checked over the records before the first one with the
+    # wrong field count; the first record that fails any check raises the
+    # error of its first failing check, in the order field count, date, value, finite.
     wrong = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != 2)
     head = rows[:wrong[0]] if wrong.size else rows
-    dates = _parse_dates(list(map(str.strip, map(operator.itemgetter(0), head))), date_format)
-    values = _parse_floats(list(map(str.strip, map(operator.itemgetter(1), head[:len(dates)]))))
-    checked = np.array(values, dtype=float)
-    bad = ~np.isfinite(checked)
-    if require_positive:
-        bad |= checked <= 0.0
-    n = int(np.argmax(bad)) if bad.any() else len(values)
+    date_texts = list(map(str.strip, map(operator.itemgetter(0), head)))
+    value_texts = list(map(str.strip, map(operator.itemgetter(1), head)))
+    dates, date_error = _parse_dates(date_texts, date_format)
+    values = _parse_floats(value_texts)
+    # the appended inf makes the argmin stop at the first bad or non-finite value
+    n = min(len(dates), int(np.argmin(np.isfinite(values + [math.inf]))))
     if n < len(rows):
-        _parse_row(linenos[n], rows[n], date_format, require_positive)
+        if n == len(head):
+            raise ParseError(linenos[n], f"expected 2 fields, got {len(rows[n])}")
+        if n == len(dates):
+            raise ParseError(linenos[n],
+                             f"bad date {date_texts[n]!r}: {date_error}") from date_error
+        if n == len(values):
+            raise ParseError(linenos[n], f"bad value {value_texts[n]!r}")
+        raise ParseError(linenos[n], f"non-finite value {value_texts[n]!r}")
     if fault:
         raise fault
     if not rows:

@@ -125,9 +125,12 @@ def cases(root: Path) -> dict:
         (bad / f"{stem}.csv").write_text(text, encoding="utf-8")
     bom = root / "bom_walks_y1.csv"
     bom.write_bytes(codecs.BOM_UTF8 + (root / "walks/walks_y1.csv").read_bytes())
+    (root / "bom.cfg").write_bytes(codecs.BOM_UTF8 + b"max_lag = 3\n")
     out.update({
         "walks/summary/text, a with a byte-order mark": ["summary", "--input", f"a={bom}",
                                                          *walks[2:]],
+        "walks/lagselect/text, config with a byte-order mark": [
+            "lagselect", *walks, "--config", str(root / "bom.cfg")],
         "error/config bad value": ["corr", *walks, "--config", str(bad / "value.cfg")],
         "error/config unknown key": ["corr", "--config", str(bad / "key.cfg")],
         "error/config missing": ["summary", "--config", str(bad / "none.cfg")],

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 import os
@@ -299,6 +300,32 @@ class TestCli:
         assert main(["summary", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             f"longrun: usage error: {cfg}:2: not valid UTF-8: byte 0xff (invalid start byte)\n")
+
+    def test_config_with_a_byte_order_mark(self, walks_csvs, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        text = f"max_lag = 3\ninput = a={walks_csvs['a']}\ninput = b={walks_csvs['b']}\n"
+        cfg.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert main(["lagselect", "--config", str(cfg)]) == 0
+        with_bom = capsys.readouterr()
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["lagselect", "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == with_bom
+        cfg.write_bytes(codecs.BOM_UTF8 + b"max_lag = 3\nalpha = 0.1\xff\n")
+        assert main(["summary", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"longrun: usage error: {cfg}:2: not valid UTF-8: byte 0xff (invalid start byte)\n")
+
+    def test_missing_input_is_a_data_error_tagged_ingest(self, walks_csvs, tmp_path, capsys):
+        none = tmp_path / "none.csv"
+        assert main(["summary", "--input", f"a={walks_csvs['a']}", "--input", f"z={none}"]) == 2
+        assert capsys.readouterr().err == (
+            f"longrun: error [ingest]: [Errno 2] No such file or directory: '{none}'\n")
+
+    def test_unwritable_out_is_a_data_error_without_a_tag(self, walks_csvs, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "report.txt"
+        assert main(["summary", *input_args(walks_csvs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"longrun: error: [Errno 2] No such file or directory: '{out}'\n")
 
     def test_csv_with_invalid_utf8_is_a_data_error(self, walks_csvs, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

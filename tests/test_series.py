@@ -21,7 +21,7 @@ from longrun.errors import (
 )
 from longrun.series import (
     RawSeries,
-    _parse_date,
+    _parse_dates,
     aggregate_monthly,
     align,
     diff,
@@ -93,12 +93,6 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "f.csv", ["01/09/2010,5"])
         raw = load_csv(p, date_format="%d/%m/%Y")
         assert raw.points[0][0] == dt.date(2010, 9, 1)
-
-    def test_positivity_flag(self, tmp_path):
-        p = write_csv(tmp_path / "n.csv", ["2010-09-01,-4"])
-        with pytest.raises(ParseError):
-            load_csv(p, require_positive=True)
-        assert load_csv(p).points[0][1] == -4.0
 
     @pytest.mark.parametrize("data", [
         b"2010-09-01,1\r\n2010-09-02,2\xff\n2010-09-03,3\n",
@@ -173,7 +167,7 @@ class TestLoadCsv:
             [np.float64(v).tobytes() for _, v in raw.points]
 
 
-def row_loop_load_csv(path, date_format="%Y-%m-%d", name=None, require_positive=False):
+def row_loop_load_csv(path, date_format="%Y-%m-%d", name=None):
     """load_csv as one loop over the rows, with strptime for every date: the
     reference for the column-wise load."""
     path = Path(path)
@@ -200,8 +194,6 @@ def row_loop_load_csv(path, date_format="%Y-%m-%d", name=None, require_positive=
                 raise ParseError(lineno, f"bad value {value_text!r}") from exc
             if not math.isfinite(value):
                 raise ParseError(lineno, f"non-finite value {value_text!r}")
-            if require_positive and value <= 0.0:
-                raise ParseError(lineno, f"value must be positive, got {value_text!r}")
             rows.append((date, value, lineno))
     if not rows:
         raise EmptyFile(f"{path} contains no data rows")
@@ -258,10 +250,10 @@ def csv_files(draw):
     return text + (newline if draw(st.booleans()) else ""), date_format
 
 
-def load_outcome(load, path, date_format, require_positive):
+def load_outcome(load, path, date_format):
     """The loaded series with each value's type and bits, or the exception's type and text."""
     try:
-        raw = load(path, date_format=date_format, require_positive=require_positive)
+        raw = load(path, date_format=date_format)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
     return raw.name, [(d, type(v), v.hex()) for d, v in raw.points]
@@ -278,38 +270,40 @@ class TestLoadCsvMatchesRowLoop:
         record = [day(5) if field is None else field for field in record]
         path = tmp_path / "in.csv"
         path.write_text(f"{day(4)},1\n{','.join(record)}\n{day(6)},2\n", encoding="utf-8")
-        for require_positive in (False, True):
-            assert load_outcome(load_csv, path, date_format, require_positive) == \
-                load_outcome(row_loop_load_csv, path, date_format, require_positive)
+        assert load_outcome(load_csv, path, date_format) == \
+            load_outcome(row_loop_load_csv, path, date_format)
 
     @settings(max_examples=200, deadline=None)
-    @given(csv_files(), st.booleans())
-    @example(("2010-01-01,1\n2010-01-01,x\n", "%Y-%m-%d"), False)
-    @example(("2010-01-01,1\n2010-01-02,inf\n1,2,3\n", "%Y-%m-%d"), False)
-    @example(("2010-01-02,1\n2010-01-01,-1\n2010-1-3,2\n", "%Y-%m-%d"), True)
-    @example(("date,value\r\n\r\n 2010-01-02 ,\"1\"\r\n2010-02-30,2\r\n", "%Y-%m-%d"), False)
-    @example(("05/01/2010,1\n2010-01-06,2\n", "%d/%m/%Y"), False)
-    @example(("\ndate,value\n2010-01-01,1\n", "%Y-%m-%d"), False)
-    def test_same_series_or_same_error(self, case, require_positive):
+    @given(csv_files())
+    @example(("2010-01-01,1\n2010-01-01,x\n", "%Y-%m-%d"))
+    @example(("2010-01-01,1\n2010-01-02,inf\n1,2,3\n", "%Y-%m-%d"))
+    @example(("2010-01-02,1\n2010-01-01,-1\n2010-1-3,2\n", "%Y-%m-%d"))
+    @example(("date,value\r\n\r\n 2010-01-02 ,\"1\"\r\n2010-02-30,2\r\n", "%Y-%m-%d"))
+    @example(("05/01/2010,1\n2010-01-06,2\n", "%d/%m/%Y"))
+    @example(("\ndate,value\n2010-01-01,1\n", "%Y-%m-%d"))
+    def test_same_series_or_same_error(self, case):
         text, date_format = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "in.csv"
             path.write_bytes(text.encode("utf-8"))
-            want = load_outcome(row_loop_load_csv, path, date_format, require_positive)
-            got = load_outcome(load_csv, path, date_format, require_positive)
+            want = load_outcome(row_loop_load_csv, path, date_format)
+            got = load_outcome(load_csv, path, date_format)
         assert got == want
 
 
-def parse_outcome(parse, text):
-    """The parsed date, or the ValueError text when parsing fails."""
+def strptime_outcome(text):
+    """The date strptime parses, or its ValueError text."""
     try:
-        return parse(text, "%Y-%m-%d")
+        return dt.datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError as exc:
         return f"ValueError: {exc}"
 
 
-def strptime_date(text, date_format):
-    return dt.datetime.strptime(text, date_format).date()
+def parse_dates_outcome(text):
+    """The date ``_parse_dates`` parses from ``[text]``, or its ValueError text."""
+    dates, error = _parse_dates([text], "%Y-%m-%d")
+    assert len(dates) == (error is None)
+    return f"ValueError: {error}" if error else dates[0]
 
 
 class TestIsoDateFastPath:
@@ -320,14 +314,14 @@ class TestIsoDateFastPath:
         "\uff12\uff10\uff11\uff10-\uff10\uff11-\uff10\uff14",  # full-width digits
     ])
     def test_same_date_or_error_as_strptime(self, text):
-        assert parse_outcome(_parse_date, text) == parse_outcome(strptime_date, text)
+        assert parse_dates_outcome(text) == strptime_outcome(text)
 
     @given(st.one_of(
         st.dates().map(dt.date.isoformat),
         st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fullmatch=True),
     ))
     def test_iso_shaped_fields_match_strptime(self, text):
-        assert parse_outcome(_parse_date, text) == parse_outcome(strptime_date, text)
+        assert parse_dates_outcome(text) == strptime_outcome(text)
 
     def test_impossible_date_reports_strptime_error(self, tmp_path):
         p = write_csv(tmp_path / "x.csv", ["2013-02-28,1", "2013-02-29,2"])
