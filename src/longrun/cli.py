@@ -10,14 +10,13 @@ exercised without any external data.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import codecs
 import datetime as dt
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, LongrunError
-from .report import SECTION_ORDER, PipelineConfig, render, run_pipeline
-from .series import RawSeries, _utf8_fault, save_csv
+from .errors import ConfigError, LongrunError, ParseError
+from .report import RENDERERS, SECTION_ORDER, PipelineConfig, render, run_pipeline
+from .series import RawSeries, _read_text, _year_month, save_csv
 from .synth import ProcessSpec, generate
 from .unitroot import CASES
 
@@ -56,7 +55,7 @@ def _add_common(p: argparse.ArgumentParser):
                       help="run the Granger test on levels (default)")
     mode.add_argument("--diffs", dest="levels", action="store_false", default=None,
                       help="run the Granger test on first differences")
-    p.add_argument("--format", choices=("text", "csv", "json"))
+    p.add_argument("--format", choices=tuple(RENDERERS))
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
 
@@ -111,15 +110,11 @@ _SETTINGS = {
 
 def _read_config_file(path: str) -> dict:
     try:
-        data = Path(path).read_bytes()
+        text = _read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    data = data.removeprefix(codecs.BOM_UTF8)  # from the bytes, so _utf8_fault counts true lines
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno, message = _utf8_fault(data, exc)
-        raise ConfigError(f"{path}:{lineno}: {message}") from None
+    except ParseError as exc:
+        raise ConfigError(f"{path}:{exc.line_number}: {exc.reason}") from None
     values: dict = {"input": []}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -208,7 +203,7 @@ def _cmd_synth(args) -> int:
         columns = [(args.kind, range(start, start + len(result)), result.values)]
     written = []
     for stem, periods, values in columns:
-        points = tuple((dt.date(int(idx) // 12, int(idx) % 12 + 1, 1), float(v))
+        points = tuple((dt.date(*_year_month(int(idx)), 1), float(v))
                        for idx, v in zip(periods, values))
         path = out_dir / f"{stem}.csv"
         save_csv(RawSeries(stem, points), path)

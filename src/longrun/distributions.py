@@ -34,6 +34,19 @@ def _gamma_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _nonzero(v: float) -> float:
+    """``v``, or _TINY when |v| < _TINY, so no Lentz denominator is zero."""
+    return _TINY if abs(v) < _TINY else v
+
+
+def _lentz_step(an: float, bn: float, c: float, d: float) -> tuple:
+    """One modified-Lentz step through the term an/(bn + ...): the new c and d
+    and their product, the factor that updates the convergent."""
+    d = 1.0 / _nonzero(bn + an * d)
+    c = _nonzero(bn + an / c)
+    return c, d, d * c
+
+
 def _gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by continued fraction (x >= a + 1)."""
     b = x + 1.0 - a
@@ -41,16 +54,8 @@ def _gamma_cf(a: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _TOL:
             break
@@ -76,31 +81,13 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _TOL:
             break

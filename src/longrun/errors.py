@@ -35,6 +35,7 @@ class ParseError(LongrunError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.reason = message
 
 
 class DuplicateDate(LongrunError):

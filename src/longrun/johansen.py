@@ -74,11 +74,10 @@ class JohansenResult:
 
 
 def _tables(statistic_kind: str) -> tuple:
-    for kind, tables in _TABLES.items():
-        if statistic_kind == kind:
-            return tables
-    raise UnsupportedCase(
-        f"statistic_kind must be 'trace' or 'max_eigen', got {statistic_kind!r}")
+    if statistic_kind not in _TABLES:
+        raise UnsupportedCase(
+            f"statistic_kind must be 'trace' or 'max_eigen', got {statistic_kind!r}")
+    return _TABLES[statistic_kind]
 
 
 def johansen_critical(case: str, m_minus_r: int, statistic_kind: str) -> float:
@@ -124,16 +123,12 @@ def _trace_rank(trace, crit) -> int:
     return len(trace)
 
 
-def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT) -> JohansenResult:
+def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
     """Run the Johansen rank test on a panel of integrated series.
 
     ``lagged_diffs`` is k - 1 for an underlying VAR(k) in levels; the
     effective sample is T = panel length - lagged_diffs - 1.
     """
-    if case != CASE_CONSTANT:
-        raise UnsupportedCase(
-            f"only the unrestricted-intercept case {CASE_CONSTANT!r} is supported"
-        )
     if lagged_diffs < 0:
         raise DomainError("lagged_diffs must be >= 0")
     data = panel.data
@@ -159,8 +154,8 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT
     eigenvalues, eigenvectors = solve_generalized_eig(A, s11)
     trace = trace_statistics(eigenvalues, t_eff)
     max_eigen = max_eigen_statistics(eigenvalues, t_eff)
-    trace_crit = np.array([johansen_critical(case, m - r, "trace") for r in range(m)])
-    maxeig_crit = np.array([johansen_critical(case, m - r, "max_eigen") for r in range(m)])
+    trace_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "trace") for r in range(m)])
+    maxeig_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "max_eigen") for r in range(m)])
     trace_p = np.array([approx_pvalue("trace", m - r, trace[r]) for r in range(m)])
     maxeig_p = np.array([approx_pvalue("max_eigen", m - r, max_eigen[r]) for r in range(m)])
     return JohansenResult(
@@ -174,7 +169,7 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1, case: str = CASE_CONSTANT
         max_eigen_pvalues=maxeig_p,
         effective_obs=t_eff,
         lagged_diffs=k,
-        deterministic_case=case,
+        deterministic_case=CASE_CONSTANT,
         decided_rank=_trace_rank(trace, trace_crit),
     )
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from . import descriptive, granger as granger_mod, johansen as johansen_mod
 from . import unitroot as unitroot_mod, varmodel
 from .errors import ConfigError, LongrunError
-from .series import Panel, Series, aggregate_monthly, align, diff, load_csv
+from .series import Panel, Series, _year_month, aggregate_monthly, align, diff, load_csv
 
 SCHEMA_VERSION = 1
 
@@ -87,7 +87,7 @@ class PipelineConfig:
             raise ConfigError("max_lag must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.output_format not in ("text", "csv", "json"):
+        if self.output_format not in RENDERERS:
             raise ConfigError(f"unsupported output format {self.output_format!r}")
         if self.deterministic_case not in unitroot_mod.CASES:
             raise ConfigError(f"unsupported deterministic case {self.deterministic_case!r}")
@@ -135,8 +135,7 @@ def format_cell(value, fmt) -> str:
 
 
 def _series_from_panel(panel: Panel, j: int) -> Series:
-    start = int(panel.periods[0])
-    return Series(panel.labels[j], (start // 12, start % 12 + 1), panel.data[:, j])
+    return Series(panel.labels[j], _year_month(int(panel.periods[0])), panel.data[:, j])
 
 
 def summary_section(panel: Panel) -> Section:
@@ -401,12 +400,13 @@ def _render_csv(report: Report) -> str:
     return buf.getvalue()
 
 
+# Output format -> its renderer, in the order usage text lists the formats.
+RENDERERS = {"text": _render_text, "csv": _render_csv,
+             "json": lambda report: json.dumps(report.to_dict(), indent=2) + "\n"}
+
+
 def render(report: Report, output_format: str = "text") -> str:
     """Serialize a report to text, CSV (one stream with section markers) or JSON."""
-    if output_format == "text":
-        return _render_text(report)
-    if output_format == "csv":
-        return _render_csv(report)
-    if output_format == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
-    raise ConfigError(f"unsupported output format {output_format!r}")
+    if output_format not in RENDERERS:
+        raise ConfigError(f"unsupported output format {output_format!r}")
+    return RENDERERS[output_format](report)

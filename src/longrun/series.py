@@ -8,6 +8,7 @@ a silent gap would corrupt the effective sample size of every test downstream.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -33,6 +34,18 @@ from .errors import (
 def month_index(year: int, month: int) -> int:
     """Months since year 0, a single integer axis for alignment."""
     return year * 12 + (month - 1)
+
+
+def _year_month(index: int) -> tuple:
+    """(year, month) of a month index, the inverse of ``month_index``."""
+    return index // 12, index % 12 + 1
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``, so the caller's array stays its own."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,11 +80,9 @@ class Series:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if not np.isfinite(vals).all():
+        object.__setattr__(self, "values", _frozen(self.values, float))
+        if not np.isfinite(self.values).all():
             raise DomainError(f"non-finite value in series {self.name!r}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -94,16 +105,12 @@ class Panel:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        periods = np.asarray(self.periods, dtype=int)
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape != (len(periods), len(self.labels)):
+        object.__setattr__(self, "periods", _frozen(self.periods, int))
+        object.__setattr__(self, "data", _frozen(self.data, float))
+        if self.data.shape != (len(self.periods), len(self.labels)):
             raise DimensionMismatch("panel data must be T x m with matching periods and labels")
-        if len(periods) < 2 or len(self.labels) < 2:
+        if len(self.periods) < 2 or len(self.labels) < 2:
             raise DimensionMismatch("panel needs at least 2 periods and 2 series")
-        periods.flags.writeable = False
-        data.flags.writeable = False
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "data", data)
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -163,23 +170,26 @@ def _parse_dates(texts: list, date_format: str) -> tuple:
 
 def _parse_floats(texts: list) -> list:
     """``float`` of each field, up to the first field it rejects."""
+    values = []
+    with contextlib.suppress(ValueError):
+        values.extend(map(float, texts))  # keeps the items before the one that fails
+    return values
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a file, without one leading byte-order mark.
+
+    A byte that is not UTF-8 raises the ParseError of its line, lines counted
+    as ``str.splitlines`` counts them.
+    """
+    # the mark is dropped from the bytes, not by utf-8-sig, whose error offsets omit it
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return list(map(float, texts))
-    except ValueError:
-        values = []
-        for text in texts:
-            try:
-                values.append(float(text))
-            except ValueError:
-                break
-        return values
-
-
-def _utf8_fault(data: bytes, exc: UnicodeDecodeError) -> tuple:
-    """Line number and message of the first invalid UTF-8 byte in ``data``,
-    its lines counted as ``str.splitlines`` counts them."""
-    line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-    return line, f"not valid UTF-8: byte {data[exc.start]:#04x} ({exc.reason})"
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"not valid UTF-8: byte {data[exc.start]:#04x} "
+                               f"({exc.reason})") from None
 
 
 def _is_header(row: list, date_format: str) -> bool:
@@ -197,12 +207,7 @@ def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None) -> Ra
     the ParseError of the first bad row in the file.
     """
     path = Path(path)
-    # one byte-order mark is skipped here, not by utf-8-sig, whose error offsets omit it
-    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(*_utf8_fault(data, exc)) from None
+    text = _read_text(path)
     rows = []
     try:
         rows.extend(csv.reader(io.StringIO(text, newline="")))
@@ -271,10 +276,10 @@ def aggregate_monthly(raw: RawSeries) -> Series:
     values = []
     for idx in range(first, last + 1):
         if idx not in buckets:
-            raise GapError(idx // 12, idx % 12 + 1)
+            raise GapError(*_year_month(idx))
         month_values = buckets[idx]
         values.append(math.fsum(month_values) / len(month_values))
-    return Series(raw.name, (first // 12, first % 12 + 1), np.array(values))
+    return Series(raw.name, _year_month(first), values)
 
 
 def align(*series: Series) -> Panel:
@@ -296,9 +301,12 @@ def diff(s: Series, order: int = 1) -> Series:
         raise DomainError("order must be >= 1")
     if len(s) <= order:
         raise TooShort(f"series of length {len(s)} cannot be differenced {order} times")
-    values = np.diff(s.values, n=order)
-    start_idx = s.start_index + order
-    return Series(s.name, (start_idx // 12, start_idx % 12 + 1), values)
+    return Series(s.name, _year_month(s.start_index + order), np.diff(s.values, n=order))
+
+
+def _values(x) -> np.ndarray:
+    """The float values of a Series, or ``x`` itself as a float array."""
+    return np.asarray(x.values if isinstance(x, Series) else x, dtype=float)
 
 
 def lag_matrix(x, p: int) -> np.ndarray:
@@ -310,7 +318,7 @@ def lag_matrix(x, p: int) -> np.ndarray:
     """
     if p < 0:
         raise DomainError("p must be >= 0")
-    x = np.asarray(x.values if isinstance(x, Series) else x, dtype=float)
+    x = _values(x)
     if x.ndim == 1:
         x = x[:, None]
     n = len(x)

@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import norm_cdf
 from .errors import DomainError, TooShort, UnsupportedCase
 from .linalg import _unscaled_covariance, ols_fit
-from .series import Series, lag_matrix
+from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
 LEVELS = ("1%", "5%", "10%")
@@ -126,10 +126,6 @@ def long_run_variance(residuals: np.ndarray, bandwidth: int) -> float:
     return total
 
 
-def _values(s) -> np.ndarray:
-    return np.asarray(s.values if isinstance(s, Series) else s, dtype=float)
-
-
 def _deterministics(case: str, t: int) -> np.ndarray:
     if case == "none":
         return np.empty((t, 0))
@@ -148,8 +144,16 @@ def _df_design(x: np.ndarray, case: str, lags: int):
     return dx[lags:], X, t_eff
 
 
-def _t_ratio_first(X: np.ndarray, y: np.ndarray):
+def _fit(X: np.ndarray, y: np.ndarray):
+    """OLS fit of a Dickey-Fuller regression, which has no t ratio when exact."""
     fit = ols_fit(X, y)
+    if fit.ssr == 0.0:
+        raise DomainError("exact fit: the Dickey-Fuller regression has zero residuals")
+    return fit
+
+
+def _t_ratio_first(X: np.ndarray, y: np.ndarray):
+    fit = _fit(X, y)
     cov = _unscaled_covariance(fit)
     se0 = math.sqrt(fit.sigma2 * cov[0, 0])
     return fit, fit.coefficients[0] / se0, se0
@@ -169,7 +173,7 @@ def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
         # the common sample; copied so each fit gets a fresh contiguous array
         k = widest.shape[1] - max_lags + lag
         X = widest[:, :k].copy()
-        fit = ols_fit(X, y)
+        fit = _fit(X, y)
         sbc = math.log(fit.ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc
@@ -208,7 +212,7 @@ def adf_test(s, case: str = "constant", lags: int | None = None,
         raise DomainError("lags must be >= 0")
     if lags is None:
         cap = default_max_lags(n) if max_lags is None else max_lags
-        ndet = 0 if case == "none" else (1 if case == "constant" else 2)
+        ndet = _deterministics(case, 0).shape[1]
         cap = min(cap, (n - 2 - ndet) // 2 - 1)
         cap = max(cap, 0)
         if n < cap + 10:

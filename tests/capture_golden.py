@@ -123,6 +123,9 @@ def cases(root: Path) -> dict:
     (bad / "long.csv").write_bytes(b"2000-01-01,1\n2000-02-01," + b"1" * 200_000 + b"\n")
     for stem, text in BAD_INPUTS.items():
         (bad / f"{stem}.csv").write_text(text, encoding="utf-8")
+    rows = (root / "walks/walks_y1.csv").read_text(encoding="utf-8").splitlines()
+    (bad / "flat.csv").write_text("".join(f"{row.split(',')[0]},1.0\n" for row in rows),
+                                  encoding="utf-8")
     bom = root / "bom_walks_y1.csv"
     bom.write_bytes(codecs.BOM_UTF8 + (root / "walks/walks_y1.csv").read_bytes())
     (root / "bom.cfg").write_bytes(codecs.BOM_UTF8 + b"max_lag = 3\n")
@@ -144,6 +147,8 @@ def cases(root: Path) -> dict:
         "error/pipeline --max-lag 400": ["pipeline", *walks, "--max-lag", "400"],
         "error/pipeline --alpha 2": ["pipeline", *walks, "--alpha", "2"],
         "error/unknown flag": ["summary", *walks, "--frobnicate"],
+        "error/unitroot --case none, a flat input": [  # the ADF regression fits exactly
+            "unitroot", "--input", f"a={bad}/flat.csv", *walks[2:], "--case", "none"],
         "error/input day-first with an ISO row": [
             "summary", "--input", f"a={root}/dmy_walks/walks_y1.csv", "--input",
             f"z={bad}/dmy_iso.csv", "--date-format", DMY],

@@ -148,10 +148,6 @@ class TestJohansenTest:
         with pytest.raises(TooShort):
             johansen_test(tiny, lagged_diffs=1)
 
-    def test_unsupported_case(self, walk_pair):
-        with pytest.raises(UnsupportedCase):
-            johansen_test(walk_pair, lagged_diffs=1, case="constant_trend")
-
 
 class TestRankDecision:
     def test_paper_numbers_decide_no_cointegration(self):

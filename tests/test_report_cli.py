@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import longrun
-from longrun.cli import _build_config, build_parser, main
+from longrun.cli import _build_config, _to_bool, build_parser, main
 from longrun.errors import ConfigError, GapError, TooShort
 from longrun.granger import granger_test
 from longrun.johansen import johansen_test
@@ -70,6 +70,9 @@ class TestFormatStatistic:
         assert format_statistic(1.48e9) == "1.48E+09"
         assert format_statistic(3.15e-10) == "3.15E-10"
         assert format_statistic(0.0) == "0.000000"
+        # fixed-point rounding that carries past 1e8 falls back as well
+        assert format_statistic(99999999.5) == "1.00E+08"
+        assert format_statistic(-99999999.7) == "-1.00E+08"
 
 
 class TestPipeline:
@@ -168,9 +171,17 @@ class TestPipeline:
             PipelineConfig(inputs={"a": "x", "b": "y"}, alpha=2.0).validate()
         with pytest.raises(ConfigError):
             PipelineConfig(inputs={"a": "x", "b": "y"}, max_lag=-1).validate()
+        with pytest.raises(ConfigError, match="unsupported output format 'xml'"):
+            PipelineConfig(inputs={"a": "x", "b": "y"}, output_format="xml").validate()
+        with pytest.raises(ConfigError, match="unsupported deterministic case 'trend'"):
+            PipelineConfig(inputs={"a": "x", "b": "y"}, deterministic_case="trend").validate()
 
 
 class TestRender:
+    def test_unknown_format_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="unsupported output format 'xml'"):
+            render(Report([]), "xml")
+
     def test_text_uses_published_headers(self, walks_csvs):
         report = run_pipeline(PipelineConfig(inputs=walks_csvs))
         text = render(report, "text")
@@ -285,6 +296,13 @@ class TestCli:
         assert err.startswith("longrun: usage error:")
         assert repr(key) in err
 
+    def test_config_line_without_equals_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\nmax-lag 3\n", encoding="utf-8")
+        assert main(["corr", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"longrun: usage error: {cfg}:2: expected 'key = value'\n")
+
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "none.cfg"
         assert main(["summary", "--config", str(cfg)]) == 1
@@ -340,6 +358,16 @@ class TestCli:
         assert main(["summary", "--input", f"a={long}", "--input", f"b={walks_csvs['b']}"]) == 2
         assert capsys.readouterr().err == ("longrun: error [ingest]: ParseError: line 2: "
                                            "field larger than field limit (131072)\n")
+
+    def test_exact_fit_is_a_data_error_naming_its_section(self, walks_csvs, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        rows = Path(walks_csvs["a"]).read_text(encoding="utf-8").splitlines()
+        flat.write_text("".join(f"{row.split(',')[0]},1.0\n" for row in rows), encoding="utf-8")
+        code = main(["unitroot", "--input", f"a={flat}", "--input", f"b={walks_csvs['b']}",
+                     "--case", "none"])
+        assert code == 2
+        assert capsys.readouterr().err == ("longrun: error [unit_root_adf]: DomainError: exact "
+                                           "fit: the Dickey-Fuller regression has zero residuals\n")
 
     def test_repeated_input_name_exits_one(self, walks_csvs, capsys):
         code = main(["summary", "--input", f"a={walks_csvs['a']}",
@@ -449,6 +477,11 @@ class TestSettings:
     def test_unset_setting_keeps_the_pipeline_default(self, tmp_path, key):
         field = SETTINGS[key][2]
         assert getattr(self.config(tmp_path, []), field) == getattr(PipelineConfig({}), field)
+
+    @pytest.mark.parametrize("spelling", ["true", "yes", "1", "levels", " Yes ", "TRUE"])
+    def test_levels_true_spellings(self, tmp_path, spelling):
+        assert _to_bool(spelling) is True  # True is also the default, so check the parser too
+        assert self.config(tmp_path, [], [f"levels = {spelling}"]).granger_on_levels is True
 
     @pytest.mark.parametrize("key", SETTINGS)
     def test_flag_beats_the_config_file(self, tmp_path, key):

@@ -20,7 +20,9 @@ from longrun.errors import (
     TooShort,
 )
 from longrun.series import (
+    Panel,
     RawSeries,
+    Series,
     _parse_dates,
     aggregate_monthly,
     align,
@@ -329,6 +331,38 @@ class TestIsoDateFastPath:
             load_csv(p)
         assert err.value.line_number == 2
         assert "day is out of range for month" in str(err.value)
+
+
+class TestRawSeries:
+    def test_dates_out_of_order(self):
+        points = ((dt.date(2012, 2, 1), 1.0), (dt.date(2012, 1, 1), 2.0))
+        with pytest.raises(DomainError, match="dates out of order at 2012-01-01"):
+            RawSeries("x", points)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value(self, value):
+        points = ((dt.date(2012, 1, 1), 1.0), (dt.date(2012, 2, 1), value))
+        with pytest.raises(DomainError, match="non-finite value at 2012-02-01"):
+            RawSeries("x", points)
+
+
+class TestStoredArraysAreCopies:
+    def test_series_keeps_a_read_only_copy(self):
+        values = np.arange(10.0)
+        s = Series("x", (2000, 1), values)
+        values[0] = 5.0  # the caller's array stays writable
+        assert s.values[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 5.0
+
+    def test_panel_keeps_read_only_copies(self):
+        periods, data = np.arange(24000, 24004), np.ones((4, 2))
+        panel = Panel(("a", "b"), periods, data)
+        periods[0], data[0, 0] = 0, 5.0
+        assert (panel.periods[0], panel.data[0, 0]) == (24000, 1.0)
+        for stored in (panel.periods, panel.data):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 7
 
 
 class TestAggregateMonthly:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from longrun.errors import TooShort, UnsupportedCase
+from longrun.errors import DomainError, TooShort, UnsupportedCase
 from longrun.series import diff
 from longrun.synth import ProcessSpec, Rng, generate
 from longrun.unitroot import (
@@ -183,6 +183,18 @@ class TestAdf:
     def test_unsupported_case(self):
         with pytest.raises(UnsupportedCase):
             adf_test(walk(8), case="seasonal")
+
+
+class TestExactFit:
+    # a flat series with no deterministic terms: dx is all zeros, so the
+    # Dickey-Fuller regression fits exactly and its t ratio is 0/0
+    @pytest.mark.parametrize("test", [lambda s: adf_test(s, case="none"),
+                                      lambda s: adf_test(s, case="none", lags=0),
+                                      lambda s: pp_test(s, case="none")],
+                             ids=["adf lag search", "adf final regression", "pp"])
+    def test_is_a_domain_error(self, test):
+        with pytest.raises(DomainError, match="exact fit"):
+            test(make_series(np.full(120, 3.5)))
 
 
 class TestPhillipsPerron:
