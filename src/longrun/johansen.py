@@ -133,12 +133,13 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
         raise DomainError("lagged_diffs must be >= 0")
     data = panel.data
     n, m = data.shape
-    if n < m * (lagged_diffs + 2) + 10:
-        raise TooShort(f"panel of length {n} too short for {lagged_diffs} lagged differences")
     k = lagged_diffs
-    dx = np.diff(data, axis=0)
     t_eff = n - k - 1
-    # Short-run regressors: intercept plus k lags of the differences.
+    # Short-run regressors: intercept plus k lags of the differences, leaving
+    # the residual moment matrices at least 2m + 8 degrees of freedom.
+    if t_eff - (1 + m * k) < 2 * m + 8:
+        raise TooShort(f"panel of length {n} too short for {k} lagged differences")
+    dx = np.diff(data, axis=0)
     Z = np.hstack([np.ones((t_eff, 1)), lag_matrix(dx, k)])
     r0 = residuals_of(dx[k:], Z)
     r1 = residuals_of(data[k: n - 1], Z)
@@ -152,6 +153,13 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
     A = s01.T @ s00_inv_s01
     A = 0.5 * (A + A.T)
     eigenvalues, eigenvectors = solve_generalized_eig(A, s11)
+    # Squared canonical correlations lie in [0, 1).  These are the eigenvalues of
+    # a symmetric matrix of norm below 1 built from sums of t_eff products, so
+    # rounding moves them by a few m * t_eff * eps at most, and a negative within
+    # that is a zero.  Further out, S11 is too near singular to trust.
+    if not -m * t_eff * np.finfo(float).eps <= eigenvalues[-1] <= eigenvalues[0] < 1.0:
+        raise NotPositiveDefinite(f"eigenvalues {eigenvalues} leave [0, 1): S11 is near singular")
+    eigenvalues = np.maximum(eigenvalues, 0.0)
     trace = trace_statistics(eigenvalues, t_eff)
     max_eigen = max_eigen_statistics(eigenvalues, t_eff)
     trace_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "trace") for r in range(m)])

@@ -58,8 +58,6 @@ def _factor(X, y):
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     if X.ndim != 2 or y.ndim not in (1, 2):
         raise DimensionMismatch("X must be 2-D and y 1-D")
     if X.shape[0] != y.shape[0]:
@@ -72,26 +70,26 @@ def _factor(X, y):
     if T <= k:
         raise TooShort(f"need more observations ({T}) than regressors ({k})")
     sv = np.linalg.svd(X, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] <= RANK_RTOL:
-        raise RankDeficient(
-            f"design matrix is numerically singular (sv ratio {0.0 if sv[0] == 0 else sv[-1] / sv[0]:.2e})"
-        )
+    ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
+    if ratio <= RANK_RTOL:
+        raise RankDeficient(f"design matrix is numerically singular (sv ratio {ratio:.2e})")
     Q, R = np.linalg.qr(X)
     return X, y, Q, R
 
 
-def ols_fit(X, y) -> OlsFit:
-    """Fit y = X b by least squares via QR.
+def _solve(X, y, Q, R):
+    """Coefficients and residuals of one response y from the QR factors of X."""
+    beta = np.linalg.solve(R, Q.T @ y)
+    return beta, y - X @ beta
 
-    Requires T > k and a full-column-rank X (relative singular-value
-    threshold 1e-12).  Raises DimensionMismatch, TooShort or RankDeficient.
-    """
+
+def ols_fit(X, y) -> OlsFit:
+    """Fit y = X b by least squares on the QR factors of a design checked by _factor."""
     if np.ndim(y) != 1:
         raise DimensionMismatch("X must be 2-D and y 1-D")
     X, y, Q, R = _factor(X, y)
     T, k = X.shape
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
+    beta, resid = _solve(X, y, Q, R)
     ssr = float(resid @ resid)
     df = T - k
     sigma2 = ssr / df
@@ -108,13 +106,24 @@ def _unscaled_covariance(fit: OlsFit) -> np.ndarray:
 
 def residuals_of(Y, Z) -> np.ndarray:
     """Residuals of each column of the T x n block Y regressed on the columns
-    of the T x k design Z (k >= 1)."""
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if Z.shape[0] != Y.shape[0]:
-        raise DimensionMismatch("Y and Z row counts differ")
-    Q, _ = np.linalg.qr(Z)
+    of the T x k design Z, checked and factored by _factor."""
+    _, Y, Q, _ = _factor(Z, Y)
     return Y - Q @ (Q.T @ Y)
+
+
+def _cholesky(M, name: str) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric positive definite matrix M, which
+    errors call ``name``; symmetric means within 1e-10 of max(1, max |M|)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"{name} must be square")
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.T).max() > 1e-10 * scale:
+        raise NotPositiveDefinite(f"{name} is not symmetric")
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
 
 
 def solve_generalized_eig(A, B):
@@ -123,19 +132,15 @@ def solve_generalized_eig(A, B):
     Reduced to a standard symmetric problem through the Cholesky factor of B,
     which keeps every intermediate real and symmetric.  Returns (eigenvalues
     sorted descending, eigenvector matrix with matching columns).  Raises
-    NotPositiveDefinite if B has no Cholesky factorization.
+    NotPositiveDefinite if B is not symmetric or has no Cholesky factorization.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
+    L = _cholesky(B, "B")
+    if A.shape != L.shape:
         raise DimensionMismatch("A and B must be square with equal shapes")
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.T).max() > 1e-10 * scale:
         raise DomainError("A is not symmetric within tolerance")
-    try:
-        L = np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("B is not positive definite") from exc
     # C = L^-1 A L^-T via two triangular solves, then symmetrize roundoff away.
     Y = np.linalg.solve(L, A)
     C = np.linalg.solve(L, Y.T).T
@@ -152,14 +157,4 @@ def log_det(M) -> float:
     Never forms the raw determinant, so it stays accurate when det M would
     overflow or underflow.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("M must be square")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise NotPositiveDefinite("M is not symmetric")
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("M is not positive definite") from exc
-    return float(2.0 * np.sum(np.log(np.diag(L))))
+    return float(2.0 * np.sum(np.log(np.diag(_cholesky(M, "M")))))

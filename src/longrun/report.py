@@ -138,28 +138,22 @@ def _series_from_panel(panel: Panel, j: int) -> Series:
     return Series(panel.labels[j], _year_month(int(panel.periods[0])), panel.data[:, j])
 
 
+# Summary-table row label -> SummaryStats field, in print order.
+_SUMMARY_ROWS = (("Mean", "mean"), ("Median", "median"), ("Maximum", "maximum"),
+                 ("Minimum", "minimum"), ("Std. Dev.", "std_dev"), ("Skewness", "skewness"),
+                 ("Kurtosis", "kurtosis"), ("Jarque-Bera", "jarque_bera"),
+                 ("Probability", "jb_probability"), ("Sum", "sum"),
+                 ("Sum Sq. Dev.", "sum_sq_dev"), ("Observations", "observations"))
+
+
 def summary_section(panel: Panel) -> Section:
     stats = [descriptive.summarize(_series_from_panel(panel, j)) for j in range(panel.m)]
-    rows = [
-        ["Mean", *(float(s.mean) for s in stats)],
-        ["Median", *(float(s.median) for s in stats)],
-        ["Maximum", *(float(s.maximum) for s in stats)],
-        ["Minimum", *(float(s.minimum) for s in stats)],
-        ["Std. Dev.", *(float(s.std_dev) for s in stats)],
-        ["Skewness", *(float(s.skewness) for s in stats)],
-        ["Kurtosis", *(float(s.kurtosis) for s in stats)],
-        ["Jarque-Bera", *(float(s.jarque_bera) for s in stats)],
-        ["Probability", *(float(s.jb_probability) for s in stats)],
-        ["Sum", *(float(s.sum) for s in stats)],
-        ["Sum Sq. Dev.", *(float(s.sum_sq_dev) for s in stats)],
-        ["Observations", *(int(s.observations) for s in stats)],
-    ]
     return Section(
         name="summary_statistics",
         title="Summary Statistics",
         columns=("Statistics", *panel.labels),
         formats=(None, *(FMT_STAT,) * panel.m),
-        rows=rows,
+        rows=[[label, *(getattr(s, name) for s in stats)] for label, name in _SUMMARY_ROWS],
     )
 
 

@@ -145,9 +145,10 @@ def _df_design(x: np.ndarray, case: str, lags: int):
 
 
 def _fit(X: np.ndarray, y: np.ndarray):
-    """OLS fit of a Dickey-Fuller regression, which has no t ratio when exact."""
+    """OLS fit of a Dickey-Fuller regression, which has no t ratio when exact or
+    within rounding of exact (ssr <= (T eps)^2 y'y), where its sign is noise."""
     fit = ols_fit(X, y)
-    if fit.ssr == 0.0:
+    if fit.ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
         raise DomainError("exact fit: the Dickey-Fuller regression has zero residuals")
     return fit
 

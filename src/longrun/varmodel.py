@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooShort
-from .linalg import LN_2PI, _factor, log_det
+from .linalg import LN_2PI, _factor, _solve, log_det
 from .series import Panel, lag_matrix
 
 
@@ -48,11 +48,8 @@ def _fit_var_data(data: np.ndarray, lag: int) -> VarFit:
     resid = np.empty_like(y)
     B = np.empty((k, m))
     for i in range(m):
-        # one product per column, as ols_fit forms it: a single Q.T @ y over all
-        # columns sums in another order and moves the last bits of the results
-        beta = np.linalg.solve(R, Q.T @ y[:, i])
-        B[:, i] = beta
-        resid[:, i] = y[:, i] - X @ beta
+        # per column: one Q.T @ y over all columns would sum in another order
+        B[:, i], resid[:, i] = _solve(X, y[:, i], Q, R)
     sigma = resid.T @ resid / t_eff
     loglik = -(t_eff * m / 2.0) * (1.0 + LN_2PI) - (t_eff / 2.0) * log_det(sigma)
     mats = tuple(B[1 + m * (j - 1): 1 + m * j, :].T.copy() for j in range(1, lag + 1))

@@ -144,6 +144,9 @@ def cases(root: Path) -> dict:
         "error/input no equals": ["summary", *walks, "--input", "noequalsign"],
         "error/granger --lag 0": ["granger", *walks, "--lag", "0"],
         "error/johansen --lagged-diffs -1": ["johansen", *walks, "--lagged-diffs", "-1"],
+        # a pair of 120 months supports at most 35 lagged differences
+        "error/johansen --lagged-diffs 36": ["johansen", *walks, "--lagged-diffs", "36"],
+        "error/johansen --lagged-diffs 45": ["johansen", *walks, "--lagged-diffs", "45"],
         "error/pipeline --max-lag 400": ["pipeline", *walks, "--max-lag", "400"],
         "error/pipeline --alpha 2": ["pipeline", *walks, "--alpha", "2"],
         "error/unknown flag": ["summary", *walks, "--frobnicate"],

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longrun.distributions import chi2_ppf
-from longrun.errors import TooShort, UnsupportedCase
+from longrun.errors import LongrunError, NotPositiveDefinite, TooShort, UnsupportedCase
 from longrun.johansen import (
     NO_COINTEGRATION,
     JohansenResult,
@@ -14,7 +16,9 @@ from longrun.johansen import (
     trace_statistics,
 )
 from longrun.series import Panel
-from longrun.synth import ProcessSpec, generate
+from longrun.synth import ProcessSpec, Rng, generate
+
+from conftest import make_panel
 
 PAPER_EIGS = (0.169895, 0.014806)
 PAPER_T = 56
@@ -147,6 +151,40 @@ class TestJohansenTest:
         tiny = Panel(walk_pair.labels, walk_pair.periods[:12], walk_pair.data[:12])
         with pytest.raises(TooShort):
             johansen_test(tiny, lagged_diffs=1)
+
+    @pytest.mark.parametrize("n, m", [(120, 2), (500, 2), (60, 3), (200, 4)])
+    def test_minimum_sample_counts_the_rows_lags_use(self, n, m):
+        # Z has n - k - 1 rows and 1 + m k columns and must leave 2m + 8 over;
+        # the old rule let k up to 53 through at n = 120
+        k_max = (n - 2 * m - 10) // (m + 1)
+        panel = make_panel(*np.cumsum(Rng(n + m).normals(n * m).reshape(m, n), axis=1))
+        assert johansen_test(panel, lagged_diffs=k_max).effective_obs == n - k_max - 1
+        with pytest.raises(TooShort):
+            johansen_test(panel, lagged_diffs=k_max + 1)
+
+    @pytest.mark.parametrize("lagged_diffs", [0, 1, 2])
+    def test_near_collinear_pair_is_not_positive_definite(self, lagged_diffs):
+        # at one lagged difference S11 once passed its Cholesky check and the
+        # reduction returned an eigenvalue of -565
+        w = np.cumsum(Rng(3).normals(300))
+        panel = make_panel(w, w + 1e-9 * np.cumsum(Rng(5).normals(300)))
+        with pytest.raises(NotPositiveDefinite):
+            johansen_test(panel, lagged_diffs=lagged_diffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(12, 90), m=st.integers(2, 4), k=st.integers(0, 30),
+           seed=st.integers(0, 10_000), tie=st.sampled_from([0.0, 1e-9, 1e-6]))
+    def test_raises_or_returns_a_valid_table(self, n, m, k, seed, tie):
+        data = np.cumsum(Rng(seed).normals(n * m).reshape(n, m), axis=0)
+        if tie:  # the second series a near copy of the first
+            data[:, 1] = data[:, 0] + tie * data[:, 1]
+        try:
+            result = johansen_test(make_panel(*data.T), lagged_diffs=k)
+        except LongrunError:
+            return
+        assert np.all((result.eigenvalues >= 0.0) & (result.eigenvalues < 1.0))
+        assert np.isfinite(result.trace_stats).all()
+        assert np.isfinite(result.max_eigen_stats).all()
 
 
 class TestRankDecision:

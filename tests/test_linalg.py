@@ -82,6 +82,10 @@ class TestOlsFit:
         with pytest.raises(RankDeficient):
             ols_fit(X, np.ones(10))
 
+    def test_one_dimensional_x_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            ols_fit(np.arange(5.0), np.ones(5))
+
     def test_coef_covariance_matches_inverse(self):
         rng = Rng(8)
         X = np.column_stack([np.ones(25), rng.normals(25)])
@@ -127,6 +131,12 @@ class TestGeneralizedEig:
         with pytest.raises(NotPositiveDefinite):
             solve_generalized_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_asymmetric_b_is_rejected(self):
+        # a Cholesky factorization reads only the lower triangle, so B's
+        # symmetry must be checked before it
+        with pytest.raises(NotPositiveDefinite, match="B is not symmetric"):
+            solve_generalized_eig(np.eye(2), np.array([[2.0, 1.0], [0.0, 2.0]]))
+
 
 class TestLogDet:
     def test_identity(self):
@@ -158,3 +168,11 @@ def test_residuals_of_annihilates_regressors():
     Y = rng.normals(60).reshape(30, 2)
     R = residuals_of(Y, Z)
     assert Z.T @ R == pytest.approx(np.zeros((2, 2)), abs=1e-9)
+
+
+def test_residuals_of_checks_its_design_as_ols_fit_does():
+    x = np.arange(10.0)
+    with pytest.raises(RankDeficient):
+        residuals_of(np.ones((10, 2)), np.column_stack([np.ones(10), x, 2.0 * x]))
+    with pytest.raises(TooShort):
+        residuals_of(np.ones((3, 2)), Rng(4).normals(12).reshape(3, 4))

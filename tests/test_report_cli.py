@@ -423,12 +423,21 @@ class TestSubcommandsAreSectionFilters:
         assert "skipped: pairwise test needs exactly 2 series, panel has 3" in \
             capsys.readouterr().out
 
-    def test_subcommand_errors_name_their_section(self, walks_csvs, capsys):
+    def test_subcommand_errors_name_their_section(self, walks_csvs, capsys, monkeypatch):
         capsys.readouterr()
+        # on a pair, granger --lag L first runs Johansen with L - 1 lagged
+        # differences for its caveat, which needs more months than Granger does
         assert main(["granger", *input_args(walks_csvs), "--lag", "200"]) == 2
-        assert capsys.readouterr().err.startswith("longrun: error [granger]: TooShort")
+        assert capsys.readouterr().err.startswith("longrun: error [johansen_trace]: TooShort")
         assert main(["johansen", *input_args(walks_csvs), "--lagged-diffs", "300"]) == 2
         assert capsys.readouterr().err.startswith("longrun: error [johansen_trace]: TooShort")
+
+        def failing_granger(*args, **kwargs):
+            raise TooShort("stand-in failure")
+
+        monkeypatch.setattr(longrun.granger, "granger_test", failing_granger)
+        assert main(["granger", *input_args(walks_csvs)]) == 2
+        assert capsys.readouterr().err.startswith("longrun: error [granger]: TooShort")
 
     @pytest.mark.parametrize("override", [["granger", "--lag", "0"],
                                           ["johansen", "--lagged-diffs", "-1"]])

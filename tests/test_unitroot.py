@@ -196,6 +196,16 @@ class TestExactFit:
         with pytest.raises(DomainError, match="exact fit"):
             test(make_series(np.full(120, 3.5)))
 
+    # a straight line has a constant dx, so the regression fits to rounding
+    # noise (ssr near 1e-32 y'y) whose t ratio once read -9.40 for x and
+    # +4.89 for 3x + 7
+    @pytest.mark.parametrize("test", [lambda s: adf_test(s, lags=0), pp_test], ids=["adf", "pp"])
+    @pytest.mark.parametrize("line", [np.arange(1.0, 121.0), 3.0 * np.arange(1.0, 121.0) + 7.0],
+                             ids=["x", "3x+7"])
+    def test_a_fit_within_rounding_is_exact(self, test, line):
+        with pytest.raises(DomainError, match="exact fit"):
+            test(make_series(line))
+
 
 class TestPhillipsPerron:
     def test_bartlett_weights(self):
