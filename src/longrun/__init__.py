@@ -10,7 +10,7 @@ from .descriptive import SummaryStats, correlation, summarize
 from .distributions import chi2_ppf, chi2_sf, f_sf, norm_cdf
 from .granger import GrangerResult, granger_test, hypothesis_verdict
 from .johansen import JohansenResult, johansen_critical, johansen_test, rank_decision
-from .linalg import OlsFit, log_det, ols_fit, solve_generalized_eig
+from .linalg import OlsFit, log_det, ols_fit
 from .report import PipelineConfig, Report, render, run_pipeline
 from .series import (
     Panel,
@@ -72,6 +72,5 @@ __all__ = [
     "run_pipeline",
     "save_csv",
     "select_lag",
-    "solve_generalized_eig",
     "summarize",
 ]

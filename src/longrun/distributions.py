@@ -14,8 +14,13 @@ import math
 from .errors import DomainError
 
 _TOL = 1e-15
-_MAX_ITER = 400
 _TINY = 1e-300
+
+
+def _max_iter(a: float) -> int:
+    """Iteration cap for a series or continued fraction with shape a.  Near
+    x = a both need about 8 sqrt(a) terms to reach _TOL once a is large."""
+    return 400 + int(10.0 * math.sqrt(a))
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -25,7 +30,7 @@ def _gamma_series(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(a)):
         ap += 1.0
         term *= x / ap
         total += term
@@ -53,7 +58,7 @@ def _gamma_cf(a: float, x: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _max_iter(a) + 1):
         b += 2.0
         c, d, delta = _lentz_step(-i * (i - a), b, c, d)
         h *= delta
@@ -83,7 +88,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     c = 1.0
     d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    for m in range(1, _max_iter(qab) + 1):
         m2 = 2 * m
         c, d, delta = _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
         h *= delta
@@ -141,7 +146,7 @@ def chi2_ppf(p: float, df: int) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
+        if hi - lo <= 1e-13 * hi:
             break
     return 0.5 * (lo + hi)
 

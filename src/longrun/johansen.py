@@ -1,9 +1,10 @@
 """Johansen maximum-likelihood cointegration rank test.
 
-Implements the reduced-rank regression of Johansen (1991): residuals of the
-differenced system and of the lagged levels on the short-run terms give the
-moment matrices S_ij, and the squared canonical correlations solve
-lambda S11 v = S10 S00^-1 S01 v.  The statistics are the standard
+Implements the reduced-rank regression of Johansen (1991): the eigenvalues
+solving lambda S11 v = S10 S00^-1 S01 v are the squared canonical correlations
+between the residuals of the differences and of the lagged levels on the
+short-run terms, from linalg.canonical_correlations without forming any S_ij
+(exactly collinear levels raise RankDeficient).  The statistics are the standard
 trace(r) = -T sum_{j>r} ln(1 - lambda_j) and max-eigen(r) = -T ln(1 - l_{r+1}).
 
 Five-percent critical values are the MacKinnon-Haug-Michelis (1999)
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import gamma_sf
-from .errors import DomainError, NotPositiveDefinite, TooShort, UnsupportedCase
-from .linalg import residuals_of, solve_generalized_eig
+from .errors import DomainError, TooShort, UnsupportedCase
+from .linalg import canonical_correlations, residuals_of
 from .series import Panel, lag_matrix
 
 CASE_CONSTANT = "constant"
@@ -143,23 +144,10 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
     Z = np.hstack([np.ones((t_eff, 1)), lag_matrix(dx, k)])
     r0 = residuals_of(dx[k:], Z)
     r1 = residuals_of(data[k: n - 1], Z)
-    s00 = r0.T @ r0 / t_eff
-    s11 = r1.T @ r1 / t_eff
-    s01 = r0.T @ r1 / t_eff
-    try:
-        s00_inv_s01 = np.linalg.solve(s00, s01)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("S00 is singular") from exc
-    A = s01.T @ s00_inv_s01
-    A = 0.5 * (A + A.T)
-    eigenvalues, eigenvectors = solve_generalized_eig(A, s11)
-    # Squared canonical correlations lie in [0, 1).  These are the eigenvalues of
-    # a symmetric matrix of norm below 1 built from sums of t_eff products, so
-    # rounding moves them by a few m * t_eff * eps at most, and a negative within
-    # that is a zero.  Further out, S11 is too near singular to trust.
-    if not -m * t_eff * np.finfo(float).eps <= eigenvalues[-1] <= eigenvalues[0] < 1.0:
-        raise NotPositiveDefinite(f"eigenvalues {eigenvalues} leave [0, 1): S11 is near singular")
-    eigenvalues = np.maximum(eigenvalues, 0.0)
+    eigenvalues, eigenvectors = canonical_correlations(r0, r1)
+    if eigenvalues[0] == 1.0:
+        raise DomainError("a canonical correlation of 1 makes ln(1 - lambda) infinite: "
+                          "the lagged levels fit a combination of the differences exactly")
     trace = trace_statistics(eigenvalues, t_eff)
     max_eigen = max_eigen_statistics(eigenvalues, t_eff)
     trace_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "trace") for r in range(m)])

@@ -1,4 +1,4 @@
-"""Least squares and small symmetric eigenproblems.
+"""Least squares, canonical correlations and log-determinants.
 
 Everything downstream (unit-root regressions, VAR equations, the reduced-rank
 cointegration step) funnels through these few routines.  Least squares is
@@ -111,50 +111,37 @@ def residuals_of(Y, Z) -> np.ndarray:
     return Y - Q @ (Q.T @ Y)
 
 
-def _cholesky(M, name: str) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric positive definite matrix M, which
-    errors call ``name``; symmetric means within 1e-10 of max(1, max |M|)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"{name} must be square")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise NotPositiveDefinite(f"{name} is not symmetric")
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
+def canonical_correlations(r0, r1) -> tuple:
+    """Squared canonical correlations between the column spaces of two T-row
+    blocks, as the squared singular values of Q0'Q1 (Bjorck & Golub 1973).
 
-
-def solve_generalized_eig(A, B):
-    """Solve A v = lambda B v for symmetric PSD A and symmetric PD B.
-
-    Reduced to a standard symmetric problem through the Cholesky factor of B,
-    which keeps every intermediate real and symmetric.  Returns (eigenvalues
-    sorted descending, eigenvector matrix with matching columns).  Raises
-    NotPositiveDefinite if B is not symmetric or has no Cholesky factorization.
+    r0 = Q0 R0 and r1 = Q1 R1 are factored by _factor, so both blocks get its
+    finiteness and rank checks.  With S_ij = r_i' r_j / T these solve
+    lambda S11 v = S10 S00^-1 S01 v without forming any S_ij, so the
+    conditioning of r1 is never squared.  Returns (the correlations descending
+    and clipped to [0, 1], the matrix sqrt(T) R1^-1 W whose columns v match
+    them and satisfy v' S11 v = I, with W the right singular vectors).
     """
-    A = np.asarray(A, dtype=float)
-    L = _cholesky(B, "B")
-    if A.shape != L.shape:
-        raise DimensionMismatch("A and B must be square with equal shapes")
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-10 * scale:
-        raise DomainError("A is not symmetric within tolerance")
-    # C = L^-1 A L^-T via two triangular solves, then symmetrize roundoff away.
-    Y = np.linalg.solve(L, A)
-    C = np.linalg.solve(L, Y.T).T
-    C = 0.5 * (C + C.T)
-    w, V = np.linalg.eigh(C)
-    U = np.linalg.solve(L.T, V)
-    order = np.argsort(w)[::-1]
-    return w[order], U[:, order]
+    _, _, Q0, _ = _factor(r0, r1)
+    _, _, Q1, R1 = _factor(r1, r0)
+    _, s, Wt = np.linalg.svd(Q0.T @ Q1, full_matrices=False)
+    return np.minimum(s * s, 1.0), math.sqrt(Q1.shape[0]) * np.linalg.solve(R1, Wt.T)
 
 
 def log_det(M) -> float:
     """ln det M for symmetric positive definite M, via Cholesky.
 
-    Never forms the raw determinant, so it stays accurate when det M would
-    overflow or underflow.
+    Symmetric means within 1e-10 of max(1, max |M|).  Never forms the raw
+    determinant, so it stays accurate when det M would overflow or underflow.
     """
-    return float(2.0 * np.sum(np.log(np.diag(_cholesky(M, "M")))))
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch("M must be square")
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.T).max() > 1e-10 * scale:
+        raise NotPositiveDefinite("M is not symmetric")
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("M is not positive definite") from exc
+    return float(2.0 * np.sum(np.log(np.diag(L))))

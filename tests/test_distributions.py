@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from longrun.distributions import chi2_ppf, chi2_sf, f_sf, norm_cdf
 from longrun.errors import DomainError
@@ -35,6 +36,12 @@ class TestChi2:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("x, df", [(10001.0, 10000), (9800.0, 10000), (5000.0, 5000),
+                                       (201.0, 200), (60.0, 50), (0.5, 1), (90.0, 3)])
+    def test_against_scipy(self, x, df):
+        # near x = df a large shape needs about 8 sqrt(df / 2) terms
+        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-10)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             chi2_sf(-0.1, 2)
@@ -54,6 +61,13 @@ class TestChi2Ppf:
         for p in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
             x = chi2_ppf(p, df)
             assert chi2_sf(x, df) == pytest.approx(1.0 - p, abs=1e-9)
+
+    @pytest.mark.parametrize("p, df", [(1e-9, 1), (1e-6, 1), (1e-3, 2), (0.5, 1), (0.95, 1),
+                                       (0.999999, 3), (0.3, 1000)])
+    def test_against_scipy(self, p, df):
+        # q = 1 - p carries about 1e-16 / p relative error, so 1e-6 relative is
+        # the most a small p allows
+        assert chi2_ppf(p, df) == pytest.approx(stats.chi2.ppf(p, df), rel=1e-6, abs=0.0)
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5, 1.5):

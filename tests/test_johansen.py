@@ -1,10 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longrun import johansen
 from longrun.distributions import chi2_ppf
-from longrun.errors import LongrunError, NotPositiveDefinite, TooShort, UnsupportedCase
+from longrun.errors import DomainError, LongrunError, TooShort, UnsupportedCase
 from longrun.johansen import (
     NO_COINTEGRATION,
     JohansenResult,
@@ -15,13 +17,37 @@ from longrun.johansen import (
     rank_decision,
     trace_statistics,
 )
-from longrun.series import Panel
+from longrun.linalg import residuals_of
+from longrun.series import Panel, lag_matrix
 from longrun.synth import ProcessSpec, Rng, generate
 
 from conftest import make_panel
 
 PAPER_EIGS = (0.169895, 0.014806)
 PAPER_T = 56
+
+
+def tied_walks(seed: int, n: int, m: int, tie: float) -> np.ndarray:
+    """n x m seeded random walks whose second column is the first plus tie times a walk."""
+    data = np.cumsum(Rng(seed).normals(n * m).reshape(n, m), axis=0)
+    data[:, 1] = data[:, 0] + tie * data[:, 1]
+    return data
+
+
+def mpmath_eigenvalues(data: np.ndarray, k: int) -> np.ndarray:
+    """Johansen eigenvalues of the float64 residual blocks johansen_test builds,
+    solved from S_ij in 50-digit arithmetic through the Cholesky factor of S11."""
+    n = data.shape[0]
+    dx = np.diff(data, axis=0)
+    Z = np.hstack([np.ones((n - k - 1, 1)), lag_matrix(dx, k)])
+    with mpmath.workdps(50):
+        r0 = mpmath.matrix(residuals_of(dx[k:], Z).tolist())
+        r1 = mpmath.matrix(residuals_of(data[k: n - 1], Z).tolist())
+        s01 = r0.T * r1
+        l_inv = mpmath.inverse(mpmath.cholesky(r1.T * r1))
+        c = l_inv * s01.T * mpmath.inverse(r0.T * r0) * s01 * l_inv.T
+        w = mpmath.eigsy((c + c.T) / 2, eigvals_only=True)
+        return np.array(sorted((float(x) for x in w), reverse=True))
 
 
 def result_from_paper_numbers() -> JohansenResult:
@@ -163,13 +189,52 @@ class TestJohansenTest:
             johansen_test(panel, lagged_diffs=k_max + 1)
 
     @pytest.mark.parametrize("lagged_diffs", [0, 1, 2])
-    def test_near_collinear_pair_is_not_positive_definite(self, lagged_diffs):
-        # at one lagged difference S11 once passed its Cholesky check and the
-        # reduction returned an eigenvalue of -565
+    def test_near_collinear_pair_matches_the_mpmath_oracle(self, lagged_diffs):
+        # the lagged-level residuals have a condition near 1e10, and the error
+        # left is about eps times that
         w = np.cumsum(Rng(3).normals(300))
-        panel = make_panel(w, w + 1e-9 * np.cumsum(Rng(5).normals(300)))
-        with pytest.raises(NotPositiveDefinite):
-            johansen_test(panel, lagged_diffs=lagged_diffs)
+        data = np.column_stack([w, w + 1e-9 * np.cumsum(Rng(5).normals(300))])
+        got = johansen_test(make_panel(*data.T), lagged_diffs=lagged_diffs).eigenvalues
+        assert got == pytest.approx(mpmath_eigenvalues(data, lagged_diffs), abs=1e-6)
+
+    @pytest.mark.parametrize("tie", [1e-4, 1e-5, 1e-6])
+    def test_near_collinear_corpus_matches_the_mpmath_oracle(self, tie):
+        for seed in range(20):
+            n, m, k = 40 + (seed * 37) % 121, 2 + seed % 2, seed % 3
+            data = tied_walks(seed, n, m, tie)
+            got = johansen_test(make_panel(*data.T), lagged_diffs=k).eigenvalues
+            assert got == pytest.approx(mpmath_eigenvalues(data, k), abs=1e-9), (seed, n, m, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(40, 160), m=st.integers(2, 3), k=st.integers(0, 2),
+           seed=st.integers(0, 10_000), tie=st.sampled_from([1e-4, 1e-5, 1e-6]))
+    def test_eigenvalues_invariant_when_the_tie_is_undone(self, n, m, k, seed, tie):
+        # (a, b) -> (a, (b - a) / tie) is a nonsingular map of the levels, to
+        # which the canonical correlations are invariant
+        data = tied_walks(seed, n, m, tie)
+        untied = data.copy()
+        untied[:, 1] = (data[:, 1] - data[:, 0]) / tie
+        got = johansen_test(make_panel(*data.T), lagged_diffs=k).eigenvalues
+        want = johansen_test(make_panel(*untied.T), lagged_diffs=k).eigenvalues
+        assert got == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(40, 160), m=st.integers(2, 3), k=st.integers(0, 2),
+           seed=st.integers(0, 10_000), tie=st.sampled_from([1e-4, 1e-5, 1e-6]),
+           order=st.permutations(range(3)))
+    def test_eigenvalues_invariant_under_column_permutation(self, n, m, k, seed, tie, order):
+        data = tied_walks(seed, n, m, tie)
+        permuted = data[:, [j for j in order if j < m]]
+        got = johansen_test(make_panel(*data.T), lagged_diffs=k).eigenvalues
+        want = johansen_test(make_panel(*permuted.T), lagged_diffs=k).eigenvalues
+        assert got == pytest.approx(want, abs=1e-9)
+
+    def test_a_unit_correlation_is_a_domain_error(self, walk_pair, monkeypatch):
+        # ln(1 - 1) is -inf; reached by a deterministic AR(1) paired with a walk
+        monkeypatch.setattr(johansen, "canonical_correlations",
+                            lambda r0, r1: (np.array([1.0, 0.5]), np.eye(2)))
+        with pytest.raises(DomainError, match="canonical correlation of 1"):
+            johansen_test(walk_pair, lagged_diffs=1)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(12, 90), m=st.integers(2, 4), k=st.integers(0, 30),

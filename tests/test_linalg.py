@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from longrun.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, TooShort
 from longrun.linalg import (
     _unscaled_covariance,
+    canonical_correlations,
     log_det,
     ols_fit,
     residuals_of,
-    solve_generalized_eig,
 )
 from longrun.synth import Rng
 
@@ -93,49 +94,44 @@ class TestOlsFit:
         assert cov == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-9)
 
 
-class TestGeneralizedEig:
-    def test_identity_pair(self):
-        w, _ = solve_generalized_eig(np.eye(2), np.eye(2))
-        assert w == pytest.approx([1.0, 1.0])
+def _walk_block(seed: int, t: int, p: int) -> np.ndarray:
+    """T x p block of demeaned random walks, shaped like Johansen's residuals."""
+    block = np.cumsum(Rng(seed).normals(t * p).reshape(t, p), axis=0)
+    return block - block.mean(axis=0)
 
-    def test_diagonal_case(self):
-        w, _ = solve_generalized_eig(np.diag([4.0, 1.0]), np.eye(2))
-        assert w == pytest.approx([4.0, 1.0])
 
-    def test_quadratic_formula_oracle_seed11(self):
-        rng = Rng(11)
-        G = rng.normals(4).reshape(2, 2)
-        H = rng.normals(4).reshape(2, 2)
-        A = G.T @ G
-        B = H.T @ H + np.eye(2)
-        w, V = solve_generalized_eig(A, B)
-        # roots of det(A - lambda B) = 0 expanded by hand
-        a = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        b = -(A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0] - A[1, 0] * B[0, 1])
-        c = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        disc = math.sqrt(b * b - 4 * a * c)
-        roots = sorted([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], reverse=True)
-        assert w == pytest.approx(roots, abs=1e-10)
-        for lam, v in zip(w, V.T):
-            assert A @ v == pytest.approx(lam * (B @ v), abs=1e-8)
+class TestCanonicalCorrelations:
+    @pytest.mark.parametrize("seed, t, p0, p1", [(11, 40, 2, 2), (31, 120, 3, 3),
+                                                 (77, 60, 2, 4), (5, 200, 4, 2)])
+    def test_cos_squared_of_scipy_subspace_angles(self, seed, t, p0, p1):
+        r0 = _walk_block(seed, t, p0)
+        r1 = _walk_block(seed + 1, t, p1) + 0.5 * _walk_block(seed, t, p1)
+        w, _ = canonical_correlations(r0, r1)
+        angles = scipy.linalg.subspace_angles(r0, r1)  # largest angle first
+        assert w == pytest.approx(np.cos(angles)[::-1] ** 2, abs=1e-12)
+        assert np.all(np.diff(w) <= 0.0) and 0.0 <= w[-1] and w[0] <= 1.0
 
-    @pytest.mark.parametrize("seed", [11, 31, 77])
-    def test_psd_pair_nonnegative_eigenvalues(self, seed):
-        rng = Rng(seed)
-        G = rng.normals(9).reshape(3, 3)
-        H = rng.normals(9).reshape(3, 3)
-        w, _ = solve_generalized_eig(G.T @ G, H.T @ H + np.eye(3))
-        assert np.all(w >= -1e-12)
+    def test_vectors_are_s11_orthonormal_and_solve_the_johansen_problem(self):
+        r0 = _walk_block(3, 80, 3)
+        r1 = _walk_block(4, 80, 3) + _walk_block(3, 80, 3) @ np.diag([1.0, -2.0, 0.5])
+        w, V = canonical_correlations(r0, r1)
+        s00, s11, s01 = r0.T @ r0 / 80, r1.T @ r1 / 80, r0.T @ r1 / 80
+        assert V.T @ s11 @ V == pytest.approx(np.eye(3), abs=1e-12)
+        # lambda S11 v = S10 S00^-1 S01 v, column by column
+        assert s01.T @ np.linalg.solve(s00, s01) @ V == pytest.approx(s11 @ V * w, abs=1e-10)
 
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_generalized_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    def test_identical_blocks_correlate_fully(self):
+        r = _walk_block(9, 50, 2)
+        w, _ = canonical_correlations(r, 3.0 * r)
+        assert w == pytest.approx([1.0, 1.0], abs=1e-14)
 
-    def test_asymmetric_b_is_rejected(self):
-        # a Cholesky factorization reads only the lower triangle, so B's
-        # symmetry must be checked before it
-        with pytest.raises(NotPositiveDefinite, match="B is not symmetric"):
-            solve_generalized_eig(np.eye(2), np.array([[2.0, 1.0], [0.0, 2.0]]))
+    def test_exactly_collinear_block_is_rank_deficient(self):
+        r0 = _walk_block(6, 60, 2)
+        a = _walk_block(7, 60, 1)
+        with pytest.raises(RankDeficient):
+            canonical_correlations(r0, np.hstack([a, 2.0 * a]))
+        with pytest.raises(RankDeficient):
+            canonical_correlations(np.hstack([a, -a]), r0)
 
 
 class TestLogDet:
@@ -158,8 +154,19 @@ class TestLogDet:
         assert log_det(M) == pytest.approx(math.log(det), abs=1e-10)
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="^M is not positive definite$"):
             log_det(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_symmetric_indefinite_m_is_not_positive_definite(self):
+        # positive diagonal, eigenvalues 3 and -1: only the factorization sees it
+        with pytest.raises(NotPositiveDefinite, match="^M is not positive definite$"):
+            log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_asymmetric_m_is_rejected(self):
+        # a Cholesky factorization reads only the lower triangle, so M's
+        # symmetry must be checked before it
+        with pytest.raises(NotPositiveDefinite, match="^M is not symmetric$"):
+            log_det(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 def test_residuals_of_annihilates_regressors():
