@@ -6,6 +6,8 @@ tests, VAR lag-order selection, the Johansen cointegration rank test and
 pairwise Granger causality.
 """
 
+import importlib
+
 from .descriptive import SummaryStats, correlation, summarize
 from .distributions import chi2_ppf, chi2_sf, f_sf, norm_cdf
 from .granger import GrangerResult, granger_test, hypothesis_verdict
@@ -23,11 +25,18 @@ from .series import (
     load_csv,
     save_csv,
 )
-from .synth import ProcessSpec, Rng, generate
 from .unitroot import UnitRootResult, adf_test, mackinnon_critical, mackinnon_pvalue, pp_test
 from .varmodel import LagSelectionRow, VarFit, fit_var, info_criteria, select_lag
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load synth on first use of one of its names, so analysis never imports it."""
+    if name in ("ProcessSpec", "Rng", "generate"):
+        return getattr(importlib.import_module(".synth", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "GrangerResult",

@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import ConfigError, LongrunError, ParseError
 from .report import RENDERERS, SECTION_ORDER, PipelineConfig, render, run_pipeline
 from .series import RawSeries, _read_text, _year_month, save_csv
-from .synth import ProcessSpec, generate
 from .unitroot import CASES
 
 # Each analysis subcommand is a filter over the pipeline's sections.
@@ -40,7 +39,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every analysis subcommand shares, built once as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--input", action="append", metavar="NAME=PATH",
                    help="named input series (repeat for each variable)")
     p.add_argument("--config", metavar="PATH",
@@ -57,16 +58,17 @@ def _add_common(p: argparse.ArgumentParser):
                       help="run the Granger test on first differences")
     p.add_argument("--format", choices=tuple(RENDERERS))
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="longrun",
                      description="Long-run time-series econometrics toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = _common_flags()
 
     for name, (help_text, _) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "johansen":
             p.add_argument("--lagged-diffs", dest="lagged_diffs", type=int,
                            help="override the selection-derived lagged-difference count")
@@ -182,6 +184,7 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import ProcessSpec, generate
     kind_map = {
         "walks": ProcessSpec(kind="var", length=args.length, seed=args.seed,
                              coefficients=(((1.0, 0.0), (0.0, 1.0)),)),

@@ -19,6 +19,14 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, RankDef
 # treated as numerically dependent.
 RANK_RTOL = 1e-12
 
+# Householder QR gives the exact R of some X + E, ||E||_2 <= c T k^1.5 u ||X||_2
+# (Higham, Accuracy and Stability of Numerical Algorithms, Thm 19.4), and by Weyl
+# the singular values of X and R differ by at most ||E||_2.  So an R ratio above
+# this margin puts X's above RANK_RTOL unless c T k^1.5 u nears 1e-8, that is unless
+# T k^1.5 nears 1e8 / c (it is 3e5 at T = 2000, k = 28): such an R certifies X's
+# rank without the SVD of X.
+RANK_CERTIFY_RTOL = 1e-8
+
 LN_2PI = math.log(2.0 * math.pi)
 
 
@@ -54,7 +62,7 @@ def _factor(X, y):
     Returns float arrays X and y and the reduced QR factors Q, R of X.
     Requires T > k and a full-column-rank X (relative singular-value
     threshold 1e-12); raises DimensionMismatch, DomainError, TooShort or
-    RankDeficient.
+    RankDeficient.  The SVD of X runs only when R cannot certify the rank.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -69,11 +77,13 @@ def _factor(X, y):
         raise DimensionMismatch("X needs at least one column")
     if T <= k:
         raise TooShort(f"need more observations ({T}) than regressors ({k})")
-    sv = np.linalg.svd(X, compute_uv=False)
-    ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
-    if ratio <= RANK_RTOL:
-        raise RankDeficient(f"design matrix is numerically singular (sv ratio {ratio:.2e})")
     Q, R = np.linalg.qr(X)
+    sv = np.linalg.svd(R, compute_uv=False)
+    if not sv[-1] > RANK_CERTIFY_RTOL * sv[0]:
+        sv = np.linalg.svd(X, compute_uv=False)
+        ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
+        if ratio <= RANK_RTOL:
+            raise RankDeficient(f"design matrix is numerically singular (sv ratio {ratio:.2e})")
     return X, y, Q, R
 
 

@@ -126,6 +126,9 @@ def cases(root: Path) -> dict:
     rows = (root / "walks/walks_y1.csv").read_text(encoding="utf-8").splitlines()
     (bad / "flat.csv").write_text("".join(f"{row.split(',')[0]},1.0\n" for row in rows),
                                   encoding="utf-8")
+    (bad / "doubled.csv").write_text(  # exactly 2 x walks_y1: a design on both is singular
+        "".join(f"{row.split(',')[0]},{2 * float(row.split(',')[1])!r}\n" for row in rows),
+        encoding="utf-8")
     bom = root / "bom_walks_y1.csv"
     bom.write_bytes(codecs.BOM_UTF8 + (root / "walks/walks_y1.csv").read_bytes())
     (root / "bom.cfg").write_bytes(codecs.BOM_UTF8 + b"max_lag = 3\n")
@@ -152,6 +155,10 @@ def cases(root: Path) -> dict:
         "error/unknown flag": ["summary", *walks, "--frobnicate"],
         "error/unitroot --case none, a flat input": [  # the ADF regression fits exactly
             "unitroot", "--input", f"a={bad}/flat.csv", *walks[2:], "--case", "none"],
+        "error/lagselect, a doubled input": ["lagselect", *walks[:2], "--input",
+                                             f"d={bad}/doubled.csv"],
+        "error/johansen --lagged-diffs 0, a doubled input": [
+            "johansen", *walks[:2], "--input", f"d={bad}/doubled.csv", "--lagged-diffs", "0"],
         "error/input day-first with an ISO row": [
             "summary", "--input", f"a={root}/dmy_walks/walks_y1.csv", "--input",
             f"z={bad}/dmy_iso.csv", "--date-format", DMY],

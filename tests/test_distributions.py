@@ -63,11 +63,11 @@ class TestChi2Ppf:
             assert chi2_sf(x, df) == pytest.approx(1.0 - p, abs=1e-9)
 
     @pytest.mark.parametrize("p, df", [(1e-9, 1), (1e-6, 1), (1e-3, 2), (0.5, 1), (0.95, 1),
-                                       (0.999999, 3), (0.3, 1000)])
+                                       (0.999999, 3), (0.3, 1000), (1e-12, 1), (1e-12, 5),
+                                       (1e-9, 5), (1e-6, 5), (1e-12, 30), (1e-6, 30)])
     def test_against_scipy(self, p, df):
-        # q = 1 - p carries about 1e-16 / p relative error, so 1e-6 relative is
-        # the most a small p allows
-        assert chi2_ppf(p, df) == pytest.approx(stats.chi2.ppf(p, df), rel=1e-6, abs=0.0)
+        # a bisection on 1 - p would leave about 1e-16 / p relative error at small p
+        assert chi2_ppf(p, df) == pytest.approx(stats.chi2.ppf(p, df), rel=1e-9, abs=0.0)
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5, 1.5):

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longrun.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, TooShort
 from longrun.linalg import (
+    RANK_RTOL,
+    _factor,
     _unscaled_covariance,
     canonical_correlations,
     log_det,
@@ -13,6 +17,7 @@ from longrun.linalg import (
     residuals_of,
 )
 from longrun.synth import Rng
+from longrun.unitroot import adf_test
 
 from conftest import normal_eq_solve
 
@@ -92,6 +97,63 @@ class TestOlsFit:
         X = np.column_stack([np.ones(25), rng.normals(25)])
         cov = _unscaled_covariance(ols_fit(X, rng.normals(25)))
         assert cov == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-9)
+
+
+def _svd_of_x_rule(X):
+    """The message of the rank check on the SVD of X itself, or None if X passes."""
+    sv = np.linalg.svd(X, compute_uv=False)
+    ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
+    if ratio <= RANK_RTOL:
+        return f"design matrix is numerically singular (sv ratio {ratio:.2e})"
+    return None
+
+
+class TestRankCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10_000), t=st.integers(6, 400), extra=st.integers(0, 4),
+           s=st.sampled_from([0.0, 1.0, -3.0, 1e-3, 1e3]),
+           tie=st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]),
+           scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12]))
+    def test_decides_as_the_svd_of_x_and_returns_numpys_qr(self, seed, t, extra, s, tie, scale):
+        # [a, s a + tie b, ...]: a near copy of a column; scaling the pair
+        # against unit columns is the other way a design loses conditioning
+        rng = np.random.default_rng(seed)
+        a, b = np.cumsum(rng.standard_normal((2, t)), axis=1)
+        X = np.column_stack([scale * a, scale * (s * a + tie * b),
+                             *rng.standard_normal((min(extra, t - 3), t))])
+        y = rng.standard_normal(t)
+        expected = _svd_of_x_rule(X)
+        if expected is None:
+            _, _, Q, R = _factor(X, y)
+            want_q, want_r = np.linalg.qr(X)
+            assert np.array_equal(Q, want_q) and np.array_equal(R, want_r)
+        else:
+            with pytest.raises(RankDeficient) as info:
+                _factor(X, y)
+            assert str(info.value) == expected
+
+    def test_only_an_uncertified_design_pays_for_the_svd_of_x(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        rng = np.random.default_rng(5)
+        X = np.column_stack([np.ones(200), rng.standard_normal((200, 4))])
+        _factor(X, rng.standard_normal(200))
+        assert shapes == [(5, 5)]
+        shapes.clear()
+        adf_test(np.cumsum(rng.standard_normal(300)), case="constant_trend")
+        assert shapes and all(rows == cols for rows, cols in shapes)
+        shapes.clear()
+        # an R ratio near 1e-11: below the certificate, above RANK_RTOL
+        a = rng.standard_normal(200)
+        near = np.column_stack([np.ones(200), a, a + 1e-10 * rng.standard_normal(200)])
+        _factor(near, rng.standard_normal(200))
+        assert shapes == [(3, 3), (200, 3)]
 
 
 def _walk_block(seed: int, t: int, p: int) -> np.ndarray:
