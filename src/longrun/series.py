@@ -8,7 +8,6 @@ a silent gap would corrupt the effective sample size of every test downstream.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import datetime as dt
 import io
@@ -123,57 +122,21 @@ class Panel:
         return self.data[:, self.labels.index(label)]
 
 
-_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions of the digits in YYYY-MM-DD
+def _parse_date(text: str, date_format: str) -> dt.date:
+    """``strptime(text, date_format).date()``, or the ValueError it raises.
 
-
-def _iso_dates(texts: list):
-    """Positions and dates of the fields that are plain ASCII ``dddd-dd-dd``
-    real dates, built at once from their digit columns."""
-    n = len(texts)
-    codes = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
-    digits = codes[:, _ISO_DIGITS] - ord("0")  # unsigned: a code below "0" wraps past 9
-    shaped = ((np.fromiter(map(len, texts), np.intp, n) == 10) & (digits <= 9).all(axis=1)
-              & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-")))
-    where = np.flatnonzero(shaped)
-    d = digits[where].astype(np.int64)
-    year, month, day = d[:, :4] @ [1000, 100, 10, 1], d[:, 4:6] @ [10, 1], d[:, 6:] @ [10, 1]
-    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    days = first.astype("datetime64[D]") + (day - 1)
-    # day 0, or a day past the end of its month, lands in another month
-    real = (year >= 1) & (month >= 1) & (month <= 12) & (days.astype("datetime64[M]") == first)
-    return where[real], days[real].astype(object)
-
-
-def _parse_dates(texts: list, date_format: str) -> tuple:
-    """``strptime(text, date_format).date()`` of each field up to the first
-    field it rejects, and that field's ValueError (None when every field parses).
-
-    Under the default format the plain ASCII ``dddd-dd-dd`` real dates are
-    built by ``_iso_dates``; every other field goes to strptime, so the
-    accepted dates and the error messages are its own.
+    Under the default format a 10-character field with ``-`` at positions 4
+    and 7 is tried with ``date.fromisoformat`` first; on that shape it accepts
+    exactly the dates strptime accepts.  Every field it rejects, and every
+    field under another format, goes to strptime, so the verdict and the
+    error message are strptime's own.
     """
-    dates = np.empty(len(texts), dtype=object)
-    rest = range(len(texts))
-    if date_format == "%Y-%m-%d" and texts:
-        where, built = _iso_dates(texts)
-        dates[where] = built
-        todo = np.ones(len(texts), dtype=bool)
-        todo[where] = False
-        rest = np.flatnonzero(todo)
-    for i in rest:  # the fields _iso_dates rejected go to strptime
+    if date_format == "%Y-%m-%d" and len(text) == 10 and text[4] == text[7] == "-":
         try:
-            dates[i] = dt.datetime.strptime(texts[i], date_format).date()
-        except ValueError as exc:
-            return dates[:i].tolist(), exc
-    return dates.tolist(), None
-
-
-def _parse_floats(texts: list) -> list:
-    """``float`` of each field, up to the first field it rejects."""
-    values = []
-    with contextlib.suppress(ValueError):
-        values.extend(map(float, texts))  # keeps the items before the one that fails
-    return values
+            return dt.date.fromisoformat(text)
+        except ValueError:
+            pass
+    return dt.datetime.strptime(text, date_format).date()
 
 
 def _read_text(path) -> str:
@@ -192,59 +155,49 @@ def _read_text(path) -> str:
                                f"({exc.reason})") from None
 
 
-def _is_header(row: list, date_format: str) -> bool:
-    """A record of 2 fields whose date and value both fail to parse."""
-    fields = [text.strip() for text in row]
-    return (len(fields) == 2 and _parse_dates(fields[:1], date_format)[1] is not None
-            and not _parse_floats(fields[1:]))
-
-
 def load_csv(path, date_format: str = "%Y-%m-%d", name: str | None = None) -> RawSeries:
     """Load a two-column ``date,value`` CSV into a RawSeries.
 
-    Line 1 is taken as a header when neither its date nor its value parses.
-    Rows are sorted by date; duplicate dates are rejected.  A bad row raises
-    the ParseError of the first bad row in the file.
+    Records are read in file order and numbered from 1, blank ones included.
+    A blank record is skipped; any other record is checked for 2 fields, then
+    its date, then its value, then that the value is finite, and its first
+    failing check raises the ParseError of that record.  Record 1 is taken as
+    a header when neither its date nor its value parses.  Rows are sorted by
+    date; duplicate dates are rejected.
     """
     path = Path(path)
-    text = _read_text(path)
-    rows = []
+    records = csv.reader(io.StringIO(_read_text(path), newline=""))
+    points = []
+    lineno = 0
     try:
-        rows.extend(csv.reader(io.StringIO(text, newline="")))
-        fault = None
+        for lineno, row in enumerate(records, start=1):
+            if not row or len(row) == 1 and not row[0].strip():
+                continue  # a blank record
+            if len(row) != 2:
+                raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
+            date_text, value_text = row[0].strip(), row[1].strip()
+            try:
+                date = _parse_date(date_text, date_format)
+            except ValueError as exc:
+                if lineno == 1:
+                    try:
+                        float(value_text)
+                    except ValueError:
+                        continue  # the header
+                raise ParseError(lineno, f"bad date {date_text!r}: {exc}") from exc
+            try:
+                value = float(value_text)
+            except ValueError as exc:
+                raise ParseError(lineno, f"bad value {value_text!r}") from exc
+            if not math.isfinite(value):
+                raise ParseError(lineno, f"non-finite value {value_text!r}")
+            points.append((date, value))
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        fault = ParseError(len(rows) + 1, str(exc))
-    linenos = [i for i, row in enumerate(rows, start=1) if len(row) > 1 or row and row[0].strip()]
-    if len(linenos) < len(rows):  # drop blank lines
-        rows = [rows[i - 1] for i in linenos]
-    if linenos and linenos[0] == 1 and _is_header(rows[0], date_format):
-        del linenos[0], rows[0]
-    # Every column is checked over the records before the first one with the
-    # wrong field count; the first record that fails any check raises the
-    # error of its first failing check, in the order field count, date, value, finite.
-    wrong = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != 2)
-    head = rows[:wrong[0]] if wrong.size else rows
-    date_texts = list(map(str.strip, map(operator.itemgetter(0), head)))
-    value_texts = list(map(str.strip, map(operator.itemgetter(1), head)))
-    dates, date_error = _parse_dates(date_texts, date_format)
-    values = _parse_floats(value_texts)
-    # the appended inf makes the argmin stop at the first bad or non-finite value
-    n = min(len(dates), int(np.argmin(np.isfinite(values + [math.inf]))))
-    if n < len(rows):
-        if n == len(head):
-            raise ParseError(linenos[n], f"expected 2 fields, got {len(rows[n])}")
-        if n == len(dates):
-            raise ParseError(linenos[n],
-                             f"bad date {date_texts[n]!r}: {date_error}") from date_error
-        if n == len(values):
-            raise ParseError(linenos[n], f"bad value {value_texts[n]!r}")
-        raise ParseError(linenos[n], f"non-finite value {value_texts[n]!r}")
-    if fault:
-        raise fault
-    if not rows:
+        raise ParseError(lineno + 1, str(exc)) from None
+    if not points:
         raise EmptyFile(f"{path} contains no data rows")
     # sorted in one pass when already in order; RawSeries rejects a duplicate date
-    points = sorted(zip(dates, values), key=operator.itemgetter(0))
+    points.sort(key=operator.itemgetter(0))
     return RawSeries(name or path.stem, tuple(points))
 
 

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from longrun.distributions import chi2_ppf, chi2_sf, f_sf, norm_cdf
+from longrun.distributions import betainc, chi2_ppf, chi2_sf, f_sf, gamma_sf, norm_cdf
 from longrun.errors import DomainError
 
 
@@ -100,6 +101,66 @@ class TestFDistribution:
             f_sf(-1.0, 1, 1)
         with pytest.raises(DomainError):
             f_sf(1.0, 0, 5)
+
+
+F_D2 = (5, 7, 10, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000)
+F_STATS = (*np.linspace(0.01, 5.0, 41), 7.0, 10.0, 20.0, 50.0)
+GAMMA_SHAPES = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 300.0, 1e3, 3e3, 1e4)
+
+
+def gamma_grid(a):
+    """x over a * [0.01, 3], plus a, a + 1 (where the series hands over to the
+    continued fraction) and a + sqrt(a) / 2: near x = a both need the most terms."""
+    return (*(a * np.linspace(0.01, 3.0, 61)), a, a + 1.0, a + math.sqrt(a) / 2.0)
+
+
+def mp_gamma_sf(a, x):
+    """Q(a, x) to 50 digits."""
+    with mpmath.workdps(50):
+        return float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+
+
+class TestTailsAgainstOracles:
+    """The 1e-10 absolute error the module states, over wide grids against
+    scipy and at extreme points against 50-digit mpmath."""
+
+    @pytest.mark.parametrize("d1", [1, 2, 3, 4, 6, 8, 12, 24])
+    def test_f_sf_grid_against_scipy(self, d1):
+        for d2 in F_D2:
+            got = [f_sf(float(x), d1, d2) for x in F_STATS]
+            assert got == pytest.approx(stats.f.sf(F_STATS, d1, d2), rel=0.0, abs=1e-10), d2
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES)
+    def test_gamma_sf_grid_against_scipy(self, a):
+        xs = gamma_grid(a)
+        want = special.gammaincc(a, xs)
+        assert [gamma_sf(a, float(x)) for x in xs] == pytest.approx(want, rel=0.0, abs=1e-10)
+        # chi2_sf(x, df) is Q(df / 2, x / 2)
+        got = [chi2_sf(2.0 * float(x), int(2 * a)) for x in xs]
+        assert got == pytest.approx(want, rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [1e3, 1e4])
+    @pytest.mark.parametrize("rel_x", [0.9, 1.0, 1.1])
+    def test_gamma_sf_large_shape_against_mpmath(self, a, rel_x):
+        for x in (rel_x * a, rel_x * a + 1.0, rel_x * a + math.sqrt(a) / 2.0):
+            assert gamma_sf(a, x) == pytest.approx(mp_gamma_sf(a, x), rel=0.0, abs=1e-10)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the prefactor exp(-x + a log x - lgamma(a)) is formed from "
+                              "terms of about 1e6 that cancel, so Q(1e5, 1e5) is 1.9e-10 off")
+    def test_gamma_sf_at_shape_1e5_against_mpmath(self):
+        assert gamma_sf(1e5, 1e5) == pytest.approx(mp_gamma_sf(1e5, 1e5), rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a, b, x", [
+        (0.5, 0.5, 1e-10),  # the singular ends of the arcsine law
+        (5000.0, 2.5, 0.9995),  # F(5, 10000) near its mean
+        (1e4, 0.5, 0.9999),  # F(1, 20000): a large shape on the reflected branch
+        (0.5, 1e4, 1e-4),  # and the same on the direct branch
+    ])
+    def test_betainc_extremes_against_mpmath(self, a, b, x):
+        with mpmath.workdps(50):
+            want = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert betainc(a, b, x) == pytest.approx(want, rel=0.0, abs=1e-10)
 
 
 class TestNormCdf:

@@ -23,7 +23,7 @@ from longrun.series import (
     Panel,
     RawSeries,
     Series,
-    _parse_dates,
+    _parse_date,
     aggregate_monthly,
     align,
     diff,
@@ -211,7 +211,8 @@ DATE_FORMATS = ("%Y-%m-%d", "%d/%m/%Y")
 ODD_DATES = ("2010-1-5", "2010-01-5", "5/1/2010", "2010-02-30", "30/02/2010", "0000-01-01",
              "00/01/0000", "2010-13-01", "2010-01-32", "20100105", "2010-01-05T00", "notadate",
              "", "\uff12\uff10\uff11\uff10-\uff10\uff11-\uff10\uff15", "0001-01-01",
-             "9999-12-31", "2010/01-05", "2010-01/05", "2010.01.05")
+             "9999-12-31", "2010/01-05", "2010-01/05", "2010.01.05", "2010-W01", "2010-W01-1",
+             "2010W011", "2010W01")
 ODD_VALUES = ("inf", "-inf", "nan", "NaN", "1e400", "0", "-0.0", "-1.5", "abc", "", "1_000",
               "1.0x", "0x10")
 ODD_RECORDS = ([], ["  "], ["a"], ["1", "2", "3"], ["2010-01-04", "1", ""], ["date", "value"],
@@ -301,11 +302,12 @@ def strptime_outcome(text):
         return f"ValueError: {exc}"
 
 
-def parse_dates_outcome(text):
-    """The date ``_parse_dates`` parses from ``[text]``, or its ValueError text."""
-    dates, error = _parse_dates([text], "%Y-%m-%d")
-    assert len(dates) == (error is None)
-    return f"ValueError: {error}" if error else dates[0]
+def parse_date_outcome(text):
+    """The date ``_parse_date`` parses from ``text``, or its ValueError text."""
+    try:
+        return _parse_date(text, "%Y-%m-%d")
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestIsoDateFastPath:
@@ -314,16 +316,20 @@ class TestIsoDateFastPath:
         "0001-01-01", "9999-12-31", "2010-13-01", "2010-00-10", "2010-01-00",
         "2010-01-32", "2010-1-04", " 2010-01-04", "2010-01-04 ",
         "\uff12\uff10\uff11\uff10-\uff10\uff11-\uff10\uff14",  # full-width digits
+        # week dates, which date.fromisoformat accepts and strptime rejects
+        "2010-W01", "2010-W01-1", "2010W011", "2010W01",
+        # 10 characters with "-" at positions 4 and 7, yet not dddd-dd-dd
+        "-010-01-01", "2010-0a-01", "2010-01-0\uff11",
     ])
     def test_same_date_or_error_as_strptime(self, text):
-        assert parse_dates_outcome(text) == strptime_outcome(text)
+        assert parse_date_outcome(text) == strptime_outcome(text)
 
     @given(st.one_of(
         st.dates().map(dt.date.isoformat),
         st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fullmatch=True),
     ))
     def test_iso_shaped_fields_match_strptime(self, text):
-        assert parse_dates_outcome(text) == strptime_outcome(text)
+        assert parse_date_outcome(text) == strptime_outcome(text)
 
     def test_impossible_date_reports_strptime_error(self, tmp_path):
         p = write_csv(tmp_path / "x.csv", ["2013-02-28,1", "2013-02-29,2"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from longrun import unitroot
 from longrun.errors import DomainError, TooShort, UnsupportedCase
 from longrun.series import diff
 from longrun.synth import ProcessSpec, Rng, generate
@@ -66,6 +67,11 @@ class TestMacKinnonPvalue:
         assert p < 1e-3
         assert f"{p:.4f}" == "0.0000"
 
+    @pytest.mark.parametrize("case, tau_max", [("constant", 2.74), ("constant_trend", 0.7)])
+    def test_one_above_the_surface(self, case, tau_max):
+        for tau in (math.nextafter(tau_max, math.inf), tau_max + 1.0, 50.0):
+            assert mackinnon_pvalue(tau, case) == 1.0
+
     @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
     def test_monotone_increasing(self, case):
         grid = np.arange(-12.0, 0.6, 0.25)
@@ -101,6 +107,19 @@ class TestAdf:
             got = adf_test(make_series(x), lags=lags)
             assert got.statistic == pytest.approx(t_stat, abs=1e-9)
             assert got.effective_obs == t_eff
+
+    def test_too_short_for_the_lag_search_fits_nothing(self, monkeypatch):
+        # 12 points allow lags up to 3 by the sample bound, and 3 lags need 13 points
+        fits, ols_fit = [], unitroot.ols_fit
+
+        def counting_fit(X, y):
+            fits.append(X.shape)
+            return ols_fit(X, y)
+
+        monkeypatch.setattr(unitroot, "ols_fit", counting_fit)
+        with pytest.raises(TooShort):
+            adf_test(walk(8, n=12))
+        assert fits == []
 
     def test_stationary_ar1_rejects_at_1pct_seed9(self):
         s = generate(ProcessSpec(kind="ar1", length=500, seed=9, phi=0.5))
