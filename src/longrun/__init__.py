@@ -26,7 +26,7 @@ from .series import (
     save_csv,
 )
 from .unitroot import UnitRootResult, adf_test, mackinnon_critical, mackinnon_pvalue, pp_test
-from .varmodel import LagSelectionRow, VarFit, fit_var, info_criteria, select_lag
+from .varmodel import LagSelectionRow, select_lag
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "Series",
     "SummaryStats",
     "UnitRootResult",
-    "VarFit",
     "adf_test",
     "aggregate_monthly",
     "align",
@@ -61,11 +60,9 @@ __all__ = [
     "correlation",
     "diff",
     "f_sf",
-    "fit_var",
     "generate",
     "granger_test",
     "hypothesis_verdict",
-    "info_criteria",
     "johansen_critical",
     "johansen_test",
     "lag_matrix",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, LongrunError, ParseError
 from .report import RENDERERS, SECTION_ORDER, PipelineConfig, render, run_pipeline
-from .series import RawSeries, _read_text, _year_month, save_csv
+from .series import RawSeries, _read_text, _year_month, month_index, save_csv
 from .unitroot import CASES
 
 # Each analysis subcommand is a filter over the pipeline's sections.
@@ -30,6 +30,17 @@ SUBCOMMANDS = {
     "granger": ("pairwise Granger causality tests", ("granger",)),
     "pipeline": ("full report: all sections in order", SECTION_ORDER),
 }
+
+# synth --kind -> ProcessSpec kind and VAR coefficients; every spec gets --phi,
+# --beta and --noise-scale, which only the kinds that use them read.
+_SYNTH_KINDS = {
+    "walks": ("var", (((1.0, 0.0), (0.0, 1.0)),)),
+    "coint": ("cointegrated_pair", None),
+    "causal": ("var", (((0.0, 0.0), (0.8, 0.0)),)),
+    "ar1": ("ar1", None),
+    "noise": ("white_noise", None),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
@@ -77,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the selection-derived lag order")
 
     p = sub.add_parser("synth", help="write seeded demo datasets as CSV files")
-    p.add_argument("--kind", required=True,
-                   choices=("walks", "coint", "causal", "ar1", "noise"))
+    p.add_argument("--kind", required=True, choices=tuple(_SYNTH_KINDS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--length", type=int, default=500)
     p.add_argument("--beta", type=float, default=2.0, help="cointegration slope (coint)")
@@ -184,34 +194,21 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .synth import ProcessSpec, generate
-    kind_map = {
-        "walks": ProcessSpec(kind="var", length=args.length, seed=args.seed,
-                             coefficients=(((1.0, 0.0), (0.0, 1.0)),)),
-        "coint": ProcessSpec(kind="cointegrated_pair", length=args.length, seed=args.seed,
-                             beta=args.beta, noise_scale=args.noise_scale),
-        "causal": ProcessSpec(kind="var", length=args.length, seed=args.seed,
-                              coefficients=(((0.0, 0.0), (0.8, 0.0)),)),
-        "ar1": ProcessSpec(kind="ar1", length=args.length, seed=args.seed, phi=args.phi),
-        "noise": ProcessSpec(kind="white_noise", length=args.length, seed=args.seed),
-    }
-    result = generate(kind_map[args.kind])
+    from .synth import START, ProcessSpec, generate
+    kind, coefficients = _SYNTH_KINDS[args.kind]
+    result = generate(ProcessSpec(kind=kind, length=args.length, seed=args.seed, phi=args.phi,
+                                  coefficients=coefficients, beta=args.beta,
+                                  noise_scale=args.noise_scale))
+    if hasattr(result, "labels"):  # Panel
+        columns = zip([f"{args.kind}_{label}" for label in result.labels], result.data.T)
+    else:
+        columns = [(args.kind, result.values)]
+    dates = [dt.date(*_year_month(month_index(*START) + i), 1) for i in range(args.length)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if hasattr(result, "labels"):  # Panel
-        columns = [(f"{args.kind}_{label}", result.periods, result.data[:, j])
-                   for j, label in enumerate(result.labels)]
-    else:
-        start = result.start_index
-        columns = [(args.kind, range(start, start + len(result)), result.values)]
-    written = []
-    for stem, periods, values in columns:
-        points = tuple((dt.date(*_year_month(int(idx)), 1), float(v))
-                       for idx, v in zip(periods, values))
+    for stem, values in columns:
         path = out_dir / f"{stem}.csv"
-        save_csv(RawSeries(stem, points), path)
-        written.append(path)
-    for path in written:
+        save_csv(RawSeries(stem, tuple(zip(dates, map(float, values)))), path)
         sys.stdout.write(f"{path}\n")
     return 0
 

@@ -27,8 +27,6 @@ RANK_RTOL = 1e-12
 # rank without the SVD of X.
 RANK_CERTIFY_RTOL = 1e-8
 
-LN_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class OlsFit:
@@ -40,17 +38,12 @@ class OlsFit:
     residuals : (T,) array, y - X @ coefficients
     ssr : float, sum of squared residuals
     sigma2 : float, ssr / (T - k)
-    df_resid : int, T - k
-    loglik : float, Gaussian log-likelihood -(T/2) (1 + ln 2pi + ln(ssr/T));
-        +inf for an exact fit (ssr == 0)
     """
 
     coefficients: np.ndarray
     residuals: np.ndarray
     ssr: float
     sigma2: float
-    df_resid: int
-    loglik: float
     # the R factor of X = QR, kept for the coefficient covariance
     _r: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -101,10 +94,7 @@ def ols_fit(X, y) -> OlsFit:
     T, k = X.shape
     beta, resid = _solve(X, y, Q, R)
     ssr = float(resid @ resid)
-    df = T - k
-    sigma2 = ssr / df
-    loglik = math.inf if ssr <= 0.0 else -(T / 2.0) * (1.0 + LN_2PI + math.log(ssr / T))
-    return OlsFit(beta, resid, ssr, sigma2, df, loglik, R)
+    return OlsFit(beta, resid, ssr, ssr / (T - k), R)
 
 
 def _unscaled_covariance(fit: OlsFit) -> np.ndarray:

@@ -118,9 +118,6 @@ class Panel:
     def m(self) -> int:
         return self.data.shape[1]
 
-    def column(self, label: str) -> np.ndarray:
-        return self.data[:, self.labels.index(label)]
-
 
 def _parse_date(text: str, date_format: str) -> dt.date:
     """``strptime(text, date_format).date()``, or the ValueError it raises.

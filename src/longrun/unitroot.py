@@ -181,8 +181,13 @@ def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     return best_lag
 
 
-def _finish(kind: str, stat: float, case: str, lags_or_bw: int, t_eff: int) -> UnitRootResult:
-    crit = {level: mackinnon_critical(case, level, t_eff) for level in LEVELS}
+def _critical_values(case: str, t_eff: int) -> dict:
+    """Critical values by level at t_eff observations; TooShort below 20."""
+    return {level: mackinnon_critical(case, level, t_eff) for level in LEVELS}
+
+
+def _finish(kind: str, stat: float, case: str, lags_or_bw: int, t_eff: int,
+            crit: dict) -> UnitRootResult:
     decision = "stationary" if stat < crit["5%"] else "unit_root"
     return UnitRootResult(
         test_kind=kind,
@@ -212,18 +217,14 @@ def adf_test(s, case: str = "constant", lags: int | None = None,
     if lags is not None and lags < 0:
         raise DomainError("lags must be >= 0")
     if lags is None:
+        _critical_values(case, n - 1)  # the 20-observation floor, checked before any fit
         cap = default_max_lags(n) if max_lags is None else max_lags
-        ndet = _deterministics(case, 0).shape[1]
-        cap = min(cap, (n - 2 - ndet) // 2 - 1)
-        cap = max(cap, 0)
-        if n < cap + 10:
-            raise TooShort(f"series of length {n} too short for lag search up to {cap}")
+        cap = max(min(cap, (n - 2 - _deterministics(case, 0).shape[1]) // 2 - 1), 0)
         lags = _select_lags(x, case, cap)
-    if n < lags + 10:
-        raise TooShort(f"series of length {n} too short for {lags} lags")
+    crit = _critical_values(case, n - 1 - lags)
     y, X, t_eff = _df_design(x, case, lags)
     _, stat, _ = _t_ratio_first(X, y)
-    return _finish("adf", stat, case, lags, t_eff)
+    return _finish("adf", stat, case, lags, t_eff, crit)
 
 
 def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRootResult:
@@ -238,8 +239,7 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
     _check_case(case)
     x = _values(s)
     n = len(x)
-    if n < 15:
-        raise TooShort(f"series of length {n} too short for the Phillips-Perron test")
+    crit = _critical_values(case, n - 1)
     y, X, t_eff = _df_design(x, case, 0)
     fit, tau, se_rho = _t_ratio_first(X, y)
     if bandwidth is None:
@@ -253,4 +253,4 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
     stat = math.sqrt(gamma0 / lam2) * tau - (lam2 - gamma0) * t_eff * se_rho / (
         2.0 * math.sqrt(lam2) * s_reg
     )
-    return _finish("pp", stat, case, bandwidth, t_eff)
+    return _finish("pp", stat, case, bandwidth, t_eff, crit)

@@ -44,9 +44,9 @@ class TestChi2:
         assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-10)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^chi-square statistic must be non-negative$"):
             chi2_sf(-0.1, 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^df must be >= 1$"):
             chi2_sf(1.0, 0)
 
 
@@ -72,8 +72,10 @@ class TestChi2Ppf:
 
     def test_domain_errors(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"^p must lie strictly between 0 and 1$"):
                 chi2_ppf(bad, 2)
+        with pytest.raises(DomainError, match=r"^df must be >= 1$"):
+            chi2_ppf(0.5, 0)
 
 
 class TestFDistribution:
@@ -97,10 +99,35 @@ class TestFDistribution:
             assert f_sf(f, 1, 1) == pytest.approx(1 - 2 / math.pi * math.atan(math.sqrt(f)), abs=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^F statistic must be non-negative$"):
             f_sf(-1.0, 1, 1)
-        with pytest.raises(DomainError):
-            f_sf(1.0, 0, 5)
+        for d1, d2 in ((0, 5), (5, 0)):
+            with pytest.raises(DomainError, match=r"^degrees of freedom must be >= 1$"):
+                f_sf(1.0, d1, d2)
+
+
+class TestIncompleteGammaAndBeta:
+    @pytest.mark.parametrize("a, x, message", [(0.0, 1.0, "shape must be positive"),
+                                               (-1.0, 1.0, "shape must be positive"),
+                                               (2.0, -1e-300, "x must be non-negative")])
+    def test_gamma_sf_domain_errors(self, a, x, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            gamma_sf(a, x)
+
+    @pytest.mark.parametrize("a, b, x, message", [
+        (0.0, 1.0, 0.5, "beta parameters must be positive"),
+        (1.0, -2.0, 0.5, "beta parameters must be positive"),
+        (1.0, 1.0, -1e-300, r"x must lie in \[0, 1\]"),
+        (1.0, 1.0, 1.0 + 2e-16, r"x must lie in \[0, 1\]"),
+    ])
+    def test_betainc_domain_errors(self, a, b, x, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            betainc(a, b, x)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 7.0), (1e4, 0.5)])
+    def test_betainc_at_the_ends_of_the_interval(self, a, b):
+        assert betainc(a, b, 0.0) == 0.0
+        assert betainc(a, b, 1.0) == 1.0
 
 
 F_D2 = (5, 7, 10, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000)

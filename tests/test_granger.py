@@ -38,8 +38,11 @@ class TestFStatistic:
         assert f_from_ssr(5.0 - 1e-13, 5.0, 1, 30) == 0.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^unrestricted SSR must be positive$"):
             f_from_ssr(1.0, 0.0, 1, 10)
+        for p, d2 in ((0, 10), (1, 0)):
+            with pytest.raises(DomainError, match=r"^degrees of freedom must be >= 1$"):
+                f_from_ssr(2.0, 1.0, p, d2)
 
 
 class TestGrangerTest:

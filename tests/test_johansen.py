@@ -127,6 +127,12 @@ class TestApproxPvalues:
         values = [approx_pvalue("trace", 2, float(x)) for x in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("m_minus_r", [0, 7])
+    def test_unsupported_dimension(self, m_minus_r):
+        with pytest.raises(UnsupportedCase,
+                           match=r"^p-value approximation covers m - r in 1\.\.6$"):
+            approx_pvalue("trace", m_minus_r, 5.0)
+
 
 class TestJohansenTest:
     def test_independent_walks_rank_zero(self, walk_pair):
@@ -177,6 +183,10 @@ class TestJohansenTest:
         tiny = Panel(walk_pair.labels, walk_pair.periods[:12], walk_pair.data[:12])
         with pytest.raises(TooShort):
             johansen_test(tiny, lagged_diffs=1)
+
+    def test_negative_lagged_diffs_is_a_domain_error(self, walk_pair):
+        with pytest.raises(DomainError, match=r"^lagged_diffs must be >= 0$"):
+            johansen_test(walk_pair, lagged_diffs=-1)
 
     @pytest.mark.parametrize("n, m", [(120, 2), (500, 2), (60, 3), (200, 4)])
     def test_minimum_sample_counts_the_rows_lags_use(self, n, m):

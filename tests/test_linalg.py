@@ -63,20 +63,18 @@ class TestOlsFit:
             bound = 1e-8 * np.linalg.norm(X[:, j]) * np.linalg.norm(e)
             assert abs(X[:, j] @ e) <= max(bound, 1e-12)
 
-    def test_loglik_formula(self):
+    def test_sigma2_formula(self):
         rng = Rng(3)
         X = np.column_stack([np.ones(30), rng.normals(30)])
-        y = rng.normals(30)
-        fit = ols_fit(X, y)
-        t = 30
-        expected = -(t / 2.0) * (1.0 + math.log(2 * math.pi) + math.log(fit.ssr / t))
-        assert fit.loglik == pytest.approx(expected, rel=1e-12)
-        assert fit.df_resid == 28
+        fit = ols_fit(X, rng.normals(30))
         assert fit.sigma2 == pytest.approx(fit.ssr / 28, rel=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            ols_fit(np.ones((5, 1)), np.ones(4))
+        for X, y, message in [(np.ones((5, 1)), np.ones(4), "X has 5 rows but y has 4"),
+                              (np.ones((5, 1)), np.ones((5, 1)), "X must be 2-D and y 1-D"),
+                              (np.ones((5, 0)), np.ones(5), "X needs at least one column")]:
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                ols_fit(X, y)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -223,6 +221,11 @@ class TestLogDet:
         # positive diagonal, eigenvalues 3 and -1: only the factorization sees it
         with pytest.raises(NotPositiveDefinite, match="^M is not positive definite$"):
             log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.ones(3)], ids=["2 x 3", "1-D"])
+    def test_non_square_m_is_a_dimension_mismatch(self, M):
+        with pytest.raises(DimensionMismatch, match="^M must be square$"):
+            log_det(M)
 
     def test_asymmetric_m_is_rejected(self):
         # a Cholesky factorization reads only the lower triangle, so M's

@@ -1,0 +1,49 @@
+"""The package's public surface: ``from longrun import *``, every name in
+``longrun.__all__`` (the synth names load lazily through the module's
+``__getattr__``) and README's Library example, run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import longrun
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_python(code: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter that imports this longrun."""
+    src = str(Path(longrun.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_star_import_binds_every_public_name():
+    code = ("from longrun import *\n"
+            "import longrun\n"
+            "print([name for name in longrun.__all__ if name not in globals()])\n")
+    assert run_python(code) == "[]\n"
+
+
+def test_every_public_name_resolves():
+    assert [name for name in longrun.__all__ if not hasattr(longrun, name)] == []
+    assert longrun.generate is longrun.synth.generate
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'longrun' has no attribute 'VarFit'$"):
+        longrun.VarFit
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert run_python(code) == "1 1 co-integrating relation(s) at the 0.05 level H3\n"

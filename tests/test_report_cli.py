@@ -164,6 +164,10 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(PipelineConfig(inputs=walks_csvs), ("granger", "bogus"))
 
+    def test_report_lookup_of_an_absent_section_is_a_key_error(self):
+        with pytest.raises(KeyError, match=r"^'granger'$"):
+            Report([]).section("granger")
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             PipelineConfig(inputs={"a": "x.csv"}).validate()

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longrun.errors import (
+    DimensionMismatch,
     DomainError,
     DuplicateDate,
     EmptyFile,
@@ -352,6 +353,25 @@ class TestRawSeries:
             RawSeries("x", points)
 
 
+class TestSeriesAndPanelChecks:
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_series_with_a_non_finite_value(self, value):
+        with pytest.raises(DomainError, match=r"^non-finite value in series 'x'$"):
+            Series("x", (2000, 1), [1.0, value, 2.0])
+
+    def test_panel_shape_must_match_periods_and_labels(self):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^panel data must be T x m with matching periods and labels$"):
+            Panel(("a", "b"), np.arange(24000, 24003), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("labels, t", [(("a", "b"), 1), (("a",), 3)],
+                             ids=["1 period", "1 series"])
+    def test_panel_needs_two_periods_and_two_series(self, labels, t):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^panel needs at least 2 periods and 2 series$"):
+            Panel(labels, np.arange(24000, 24000 + t), np.ones((t, len(labels))))
+
+
 class TestStoredArraysAreCopies:
     def test_series_keeps_a_read_only_copy(self):
         values = np.arange(10.0)
@@ -411,6 +431,10 @@ class TestAggregateMonthly:
         assert (err.value.year, err.value.month) == (2012, 2)
         assert "2012:02" in str(err.value)
 
+    def test_empty_series_is_an_empty_file(self):
+        with pytest.raises(EmptyFile, match=r"^cannot aggregate an empty series$"):
+            aggregate_monthly(RawSeries("x", ()))
+
 
 class TestAlign:
     def test_identical_spans(self):
@@ -431,13 +455,17 @@ class TestAlign:
         ab, ba = align(a, b), align(b, a)
         assert np.array_equal(ab.periods, ba.periods)
         assert len(ab) == 7
-        assert ab.column("a") == pytest.approx(a.values[3:])
+        assert ab.data[:, 0] == pytest.approx(a.values[3:])
 
     def test_disjoint_spans(self):
         a = make_series([1.0, 2.0], name="a", start=(2010, 1))
         b = make_series([1.0, 2.0], name="b", start=(2012, 1))
         with pytest.raises(NoOverlap):
             align(a, b)
+
+    def test_one_series_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"^align needs at least two series$"):
+            align(make_series([1.0, 2.0, 3.0]))
 
 
 class TestDiff:
@@ -466,6 +494,11 @@ class TestDiff:
     def test_too_short(self):
         with pytest.raises(TooShort):
             diff(make_series([1.0, 2.0]), 2)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_a_domain_error(self, order):
+        with pytest.raises(DomainError, match=r"^order must be >= 1$"):
+            diff(make_series([1.0, 2.0, 3.0]), order)
 
 
 class TestLagMatrix:

@@ -82,14 +82,15 @@ class TestGenerate:
 
     def test_cointegrated_pair_slope_via_ols(self):
         panel = generate(ProcessSpec(kind="cointegrated_pair", length=500, seed=5, beta=2.0))
-        x, y = panel.column("x"), panel.column("y")
+        x, y = panel.data.T
         fit = ols_fit(np.column_stack([np.ones(len(x)), x]), y)
         assert abs(fit.coefficients[1] - 2.0) < 0.1
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_cointegration_residual_is_stationary(self, seed):
         panel = generate(ProcessSpec(kind="cointegrated_pair", length=500, seed=seed, beta=2.0))
-        resid = panel.column("y") - 2.0 * panel.column("x")
+        x, y = panel.data.T
+        resid = y - 2.0 * x
         r = resid - resid.mean()
         assert abs(float(r[1:] @ r[:-1] / (r @ r))) < 0.5
 
@@ -113,13 +114,21 @@ class TestGenerate:
         assert panel.data == pytest.approx(x, abs=1e-14)
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpec):
-            generate(ProcessSpec(kind="white_noise", length=5, seed=1))
-        with pytest.raises(InvalidSpec):
-            generate(ProcessSpec(kind="ar1", length=20, seed=1, phi=1.0))
-        with pytest.raises(InvalidSpec):
-            generate(ProcessSpec(kind="var", length=20, seed=1))
-        with pytest.raises(InvalidSpec):
-            generate(ProcessSpec(kind="cointegrated_pair", length=20, seed=1))
-        with pytest.raises(InvalidSpec):
-            generate(ProcessSpec(kind="brownian", length=20, seed=1))
+        square = ((0.5, 0.0), (0.0, 0.5))
+        for fields, message in [
+            ({"kind": "white_noise", "length": 5}, "length must be >= 10"),
+            ({"kind": "ar1", "phi": 1.0}, r"ar1 needs \|phi\| < 1"),
+            ({"kind": "var"}, "var needs at least one coefficient matrix"),
+            ({"kind": "var", "coefficients": (square, ((0.5,),))},
+             "var coefficient matrices must be square and equal-sized"),
+            ({"kind": "var", "coefficients": (((0.5, 0.0, 0.1), (0.0, 0.5, 0.1)),)},
+             "var coefficient matrices must be square and equal-sized"),
+            ({"kind": "cointegrated_pair"}, "cointegrated_pair needs beta"),
+            ({"kind": "cointegrated_pair", "beta": 2.0, "noise_scale": 0.0},
+             "noise_scale must be positive"),
+            ({"kind": "cointegrated_pair", "beta": 2.0, "noise_scale": -1.0},
+             "noise_scale must be positive"),
+            ({"kind": "brownian"}, "unknown kind 'brownian'"),
+        ]:
+            with pytest.raises(InvalidSpec, match=f"^{message}$"):
+                generate(ProcessSpec(**{"length": 20, "seed": 1, **fields}))

@@ -25,6 +25,19 @@ def walk(seed, n=500):
     return generate(ProcessSpec(kind="random_walk", length=n, seed=seed))
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    """The design shapes of the ``ols_fit`` calls unitroot makes while the test runs."""
+    shapes, ols_fit = [], unitroot.ols_fit
+
+    def counting_fit(X, y):
+        shapes.append(X.shape)
+        return ols_fit(X, y)
+
+    monkeypatch.setattr(unitroot, "ols_fit", counting_fit)
+    return shapes
+
+
 class TestMacKinnonCritical:
     def test_constant_case_at_56(self):
         assert mackinnon_critical("constant", "1%", 56) == pytest.approx(-3.5504, abs=5e-3)
@@ -108,17 +121,21 @@ class TestAdf:
             assert got.statistic == pytest.approx(t_stat, abs=1e-9)
             assert got.effective_obs == t_eff
 
-    def test_too_short_for_the_lag_search_fits_nothing(self, monkeypatch):
-        # 12 points allow lags up to 3 by the sample bound, and 3 lags need 13 points
-        fits, ols_fit = [], unitroot.ols_fit
+    def test_too_short_for_the_lag_search_fits_nothing(self, fits):
+        # below 21 points even the lag-0 regression has fewer than the 20
+        # observations the critical values need, so the search never starts
+        for n in (12, 15, 18, 20):
+            with pytest.raises(TooShort):
+                adf_test(walk(8, n=n))
+        assert fits == []
 
-        def counting_fit(X, y):
-            fits.append(X.shape)
-            return ols_fit(X, y)
-
-        monkeypatch.setattr(unitroot, "ols_fit", counting_fit)
-        with pytest.raises(TooShort):
-            adf_test(walk(8, n=12))
+    @pytest.mark.parametrize("test, n", [(lambda s: adf_test(s, lags=2), 22),
+                                         (lambda s: adf_test(s, lags=0), 20), (pp_test, 20)],
+                             ids=["adf 2 lags", "adf 0 lags", "pp"])
+    def test_too_short_for_a_fixed_regression_fits_nothing(self, fits, test, n):
+        with pytest.raises(TooShort, match=r"^critical-value surface needs an effective "
+                                           r"sample of at least 20$"):
+            test(walk(8, n=n))
         assert fits == []
 
     def test_stationary_ar1_rejects_at_1pct_seed9(self):
@@ -182,6 +199,10 @@ class TestAdf:
     def test_too_short(self):
         with pytest.raises(TooShort):
             adf_test(make_series(np.arange(8.0)), lags=0)
+
+    def test_negative_lags_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^lags must be >= 0$"):
+            adf_test(walk(8), lags=-1)
 
     @pytest.mark.parametrize("case, lags", [("none", 0), ("constant", 2), ("constant_trend", 5)])
     def test_t_ratio_bit_identical_to_a_separate_r_factor(self, case, lags):
@@ -268,6 +289,10 @@ class TestPhillipsPerron:
     def test_too_short(self):
         with pytest.raises(TooShort):
             pp_test(make_series(np.arange(10.0)))
+
+    def test_negative_bandwidth_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^bandwidth must be >= 0$"):
+            pp_test(walk(8), bandwidth=-1)
 
     def test_one_qr_per_regression(self, qr_calls):
         pp_test(walk(8))
