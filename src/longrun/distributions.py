@@ -24,9 +24,7 @@ def _max_iter(a: float) -> int:
 
 
 def _gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
-    if x <= 0.0:
-        return 0.0
+    """Regularized lower incomplete gamma P(a, x) by power series (0 < x < a + 1)."""
     ap = a
     term = 1.0 / a
     total = term

@@ -140,6 +140,8 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
     # the residual moment matrices at least 2m + 8 degrees of freedom.
     if t_eff - (1 + m * k) < 2 * m + 8:
         raise TooShort(f"panel of length {n} too short for {k} lagged differences")
+    trace_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "trace") for r in range(m)])
+    maxeig_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "max_eigen") for r in range(m)])
     dx = np.diff(data, axis=0)
     Z = np.hstack([np.ones((t_eff, 1)), lag_matrix(dx, k)])
     r0 = residuals_of(dx[k:], Z)
@@ -150,8 +152,6 @@ def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
                           "the lagged levels fit a combination of the differences exactly")
     trace = trace_statistics(eigenvalues, t_eff)
     max_eigen = max_eigen_statistics(eigenvalues, t_eff)
-    trace_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "trace") for r in range(m)])
-    maxeig_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "max_eigen") for r in range(m)])
     trace_p = np.array([approx_pvalue("trace", m - r, trace[r]) for r in range(m)])
     maxeig_p = np.array([approx_pvalue("max_eigen", m - r, max_eigen[r]) for r in range(m)])
     return JohansenResult(

@@ -245,13 +245,11 @@ def align(*series: Series) -> Panel:
     return Panel(tuple(s.name for s in series), periods, data)
 
 
-def diff(s: Series, order: int = 1) -> Series:
-    """Difference a series ``order`` times; the result is shorter by ``order``."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    if len(s) <= order:
-        raise TooShort(f"series of length {len(s)} cannot be differenced {order} times")
-    return Series(s.name, _year_month(s.start_index + order), np.diff(s.values, n=order))
+def diff(s: Series) -> Series:
+    """First difference of a series; the result is one month shorter and starts a month later."""
+    if len(s) < 2:
+        raise TooShort(f"series of length {len(s)} cannot be differenced")
+    return Series(s.name, _year_month(s.start_index + 1), np.diff(s.values))
 
 
 def _values(x) -> np.ndarray:

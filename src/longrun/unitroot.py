@@ -23,7 +23,8 @@ CASES = ("none", "constant", "constant_trend")
 LEVELS = ("1%", "5%", "10%")
 
 # MacKinnon (1991) critical-value response surface coefficients, one-variable
-# Dickey-Fuller t distribution: c(T) = b_inf + b1/T + b2/T^2.
+# Dickey-Fuller t distribution: c(T) = b_inf + b1/T + b2/T^2, for T >= _MIN_OBS.
+_MIN_OBS = 20
 _CRIT_SURFACE = {
     "none": {
         "1%": (-2.5658, -1.960, -10.04),
@@ -81,16 +82,20 @@ def _check_case(case: str):
         raise UnsupportedCase(f"deterministic case must be one of {CASES}, got {case!r}")
 
 
+def _critical_values(case: str, t_eff: int) -> dict:
+    """Critical values by level at t_eff observations; TooShort below _MIN_OBS."""
+    if t_eff < _MIN_OBS:
+        raise TooShort(f"critical-value surface needs an effective sample of at least {_MIN_OBS}")
+    t = float(t_eff)
+    return {level: b0 + b1 / t + b2 / t ** 2 for level, (b0, b1, b2) in _CRIT_SURFACE[case].items()}
+
+
 def mackinnon_critical(case: str, level: str, effective_obs: int) -> float:
     """Finite-sample Dickey-Fuller critical value for the given case and level."""
     _check_case(case)
     if level not in LEVELS:
         raise UnsupportedCase(f"level must be one of {LEVELS}, got {level!r}")
-    if effective_obs < 20:
-        raise TooShort("critical-value surface needs an effective sample of at least 20")
-    b0, b1, b2 = _CRIT_SURFACE[case][level]
-    t = float(effective_obs)
-    return b0 + b1 / t + b2 / t ** 2
+    return _critical_values(case, effective_obs)[level]
 
 
 def mackinnon_pvalue(statistic: float, case: str) -> float:
@@ -105,8 +110,7 @@ def mackinnon_pvalue(statistic: float, case: str) -> float:
     z = 0.0
     for c in reversed(coeffs):
         z = z * statistic + c
-    p = norm_cdf(z)
-    return min(max(p, 0.0), 1.0)
+    return norm_cdf(z)
 
 
 def bartlett_weights(bandwidth: int) -> np.ndarray:
@@ -166,10 +170,10 @@ def default_max_lags(n: int) -> int:
 
 
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
-    """Schwarz-criterion lag choice over 0..max_lags on a common sample."""
+    """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows."""
     y, widest, t_common = _df_design(x, case, max_lags)
     best_lag, best_sbc = 0, math.inf
-    for lag in range(max_lags + 1):
+    for lag in range(min(max_lags, len(x) - 1 - _MIN_OBS) + 1):
         # the first columns of the widest design are the design with `lag` lags on
         # the common sample; copied so each fit gets a fresh contiguous array
         k = widest.shape[1] - max_lags + lag
@@ -179,11 +183,6 @@ def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc
     return best_lag
-
-
-def _critical_values(case: str, t_eff: int) -> dict:
-    """Critical values by level at t_eff observations; TooShort below 20."""
-    return {level: mackinnon_critical(case, level, t_eff) for level in LEVELS}
 
 
 def _finish(kind: str, stat: float, case: str, lags_or_bw: int, t_eff: int,
@@ -201,15 +200,14 @@ def _finish(kind: str, stat: float, case: str, lags_or_bw: int, t_eff: int,
     )
 
 
-def adf_test(s, case: str = "constant", lags: int | None = None,
-             max_lags: int | None = None) -> UnitRootResult:
+def adf_test(s, case: str = "constant", lags: int | None = None) -> UnitRootResult:
     """Augmented Dickey-Fuller test.
 
     Regresses dx_t on x_{t-1}, the deterministic terms for ``case`` and
     ``lags`` lagged differences; the statistic is the t ratio on x_{t-1}.
-    With ``lags=None`` the lag count minimizing the Schwarz criterion over
-    0..max_lags is chosen on a common sample, then the final regression is
-    re-run on the full usable sample.
+    With ``lags=None`` the Schwarz criterion picks, on the common sample of
+    ``default_max_lags(n)`` lags, among the lags whose final regression keeps
+    20 observations; that regression is then re-run on the full usable sample.
     """
     _check_case(case)
     x = _values(s)
@@ -218,8 +216,7 @@ def adf_test(s, case: str = "constant", lags: int | None = None,
         raise DomainError("lags must be >= 0")
     if lags is None:
         _critical_values(case, n - 1)  # the 20-observation floor, checked before any fit
-        cap = default_max_lags(n) if max_lags is None else max_lags
-        cap = max(min(cap, (n - 2 - _deterministics(case, 0).shape[1]) // 2 - 1), 0)
+        cap = min(default_max_lags(n), (n - 2 - _deterministics(case, 0).shape[1]) // 2 - 1)
         lags = _select_lags(x, case, cap)
     crit = _critical_values(case, n - 1 - lags)
     y, X, t_eff = _df_design(x, case, lags)
@@ -240,12 +237,12 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
     x = _values(s)
     n = len(x)
     crit = _critical_values(case, n - 1)
-    y, X, t_eff = _df_design(x, case, 0)
-    fit, tau, se_rho = _t_ratio_first(X, y)
     if bandwidth is None:
-        bandwidth = int(math.floor(4.0 * (t_eff / 100.0) ** (2.0 / 9.0)))
+        bandwidth = int(math.floor(4.0 * ((n - 1) / 100.0) ** (2.0 / 9.0)))
     if bandwidth < 0:
         raise DomainError("bandwidth must be >= 0")
+    y, X, t_eff = _df_design(x, case, 0)
+    fit, tau, se_rho = _t_ratio_first(X, y)
     e = fit.residuals
     gamma0 = float(e @ e) / t_eff
     lam2 = long_run_variance(e, bandwidth)

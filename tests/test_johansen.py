@@ -188,6 +188,14 @@ class TestJohansenTest:
         with pytest.raises(DomainError, match=r"^lagged_diffs must be >= 0$"):
             johansen_test(walk_pair, lagged_diffs=-1)
 
+    def test_seven_series_are_unsupported_before_any_fit(self, qr_calls):
+        # the tables cover m - r in 1..6, so m = 7 fails at r = 0 before the
+        # short-run regressions run
+        panel = make_panel(*np.cumsum(Rng(77).normals(7 * 60).reshape(7, 60), axis=1))
+        with pytest.raises(UnsupportedCase, match=r"^critical values cover m - r in 1\.\.6$"):
+            johansen_test(panel, lagged_diffs=1)
+        assert qr_calls == [0]
+
     @pytest.mark.parametrize("n, m", [(120, 2), (500, 2), (60, 3), (200, 4)])
     def test_minimum_sample_counts_the_rows_lags_use(self, n, m):
         # Z has n - k - 1 rows and 1 + m k columns and must leave 2m + 8 over;

@@ -5,6 +5,7 @@ import pytest
 
 from longrun import unitroot
 from longrun.errors import DomainError, TooShort, UnsupportedCase
+from longrun.linalg import ols_fit
 from longrun.series import diff
 from longrun.synth import ProcessSpec, Rng, generate
 from longrun.unitroot import (
@@ -169,16 +170,15 @@ class TestAdf:
     def test_auto_lag_is_schwarz_minimum_on_common_sample(self):
         # brute-force oracle: every candidate regression rebuilt by hand on the
         # rows left after dropping the first cap + 1 points, SSR from the
-        # normal equations
+        # normal equations; Schwert's cap is 10 at n = 60 and 16 at n = 400
         rng = Rng(31)
         e = rng.normals(400)
         dx = np.zeros(400)
         for t in range(2, 400):
             dx[t] = 0.5 * dx[t - 1] + 0.3 * dx[t - 2] + e[t]
-        x = np.cumsum(dx)
         chosen = []
-        for cap in (3, 8):
-            n = len(x)
+        for n, cap in ((60, 10), (400, 16)):
+            x = np.cumsum(dx[:n])
             d = np.diff(x)
             y = d[cap:]
             t_common = n - 1 - cap
@@ -191,10 +191,48 @@ class TestAdf:
                 r = y - X @ beta
                 k = X.shape[1]
                 sbcs.append(math.log(r @ r / t_common) + k * math.log(t_common) / t_common)
-            got = adf_test(make_series(x), max_lags=cap)
+            got = adf_test(make_series(x))
             assert got.lags_or_bandwidth == int(np.argmin(sbcs))
             chosen.append(got.lags_or_bandwidth)
         assert min(chosen) >= 1  # the AR(2) differences need lags, so the search matters
+
+    @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
+    def test_short_sample_lag_is_schwarz_minimum_over_lags_that_keep_20(self, case):
+        # just over the floor, the search scores only lags 0..min(cap, n - 21)
+        # on the common sample of Schwert's cap, so every auto call answers;
+        # each design is rebuilt by hand, with its SSR from the same ols_fit
+        ndet = {"none": 0, "constant": 1, "constant_trend": 2}[case]
+        for n in range(21, 31):
+            cap = min(math.floor(12 * (n / 100) ** 0.25), (n - 2 - ndet) // 2 - 1)
+            t_common = n - 1 - cap
+            for seed in range(10):
+                for kind in ("random_walk", "ar1"):
+                    x = generate(ProcessSpec(kind=kind, length=n, seed=seed, phi=0.5)).values
+                    d = np.diff(x)
+                    dets = [np.ones(t_common), np.arange(1.0, t_common + 1.0)][:ndet]
+                    sbcs = []
+                    for lag in range(min(cap, n - 21) + 1):
+                        lagged = [d[cap - j: len(d) - j] for j in range(1, lag + 1)]
+                        X = np.column_stack([x[cap: n - 1], *dets, *lagged])
+                        ssr = ols_fit(X, d[cap:]).ssr
+                        k = X.shape[1]
+                        sbcs.append(math.log(ssr / t_common) + k * math.log(t_common) / t_common)
+                    got = adf_test(make_series(x), case=case)
+                    assert got.lags_or_bandwidth == int(np.argmin(sbcs)), (n, seed, kind)
+                    assert got.effective_obs >= 20
+
+    # the cap at n = 21 is 8 lags (7 with a trend), leaving 12 (13) common rows
+    @pytest.mark.parametrize("case, search_rows", [("none", 12), ("constant", 12),
+                                                   ("constant_trend", 13)])
+    def test_at_21_points_the_search_fits_lag_zero_only(self, fits, case, search_rows):
+        result = adf_test(walk(8, n=21), case=case)
+        assert result.lags_or_bandwidth == 0
+        assert [rows for rows, _ in fits] == [search_rows, 20]
+
+    def test_at_22_points_the_search_fits_two_designs_on_the_common_sample(self, fits):
+        adf_test(walk(8, n=22), case="constant")
+        assert fits[:2] == [(13, 2), (13, 3)]
+        assert len(fits) == 3
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -290,9 +328,14 @@ class TestPhillipsPerron:
         with pytest.raises(TooShort):
             pp_test(make_series(np.arange(10.0)))
 
-    def test_negative_bandwidth_is_a_domain_error(self):
+    def test_negative_bandwidth_is_a_domain_error(self, fits):
+        # checked before the regression, so a flat series under case "none",
+        # whose regression would fit exactly, gets this error too
         with pytest.raises(DomainError, match=r"^bandwidth must be >= 0$"):
             pp_test(walk(8), bandwidth=-1)
+        with pytest.raises(DomainError, match=r"^bandwidth must be >= 0$"):
+            pp_test(make_series(np.full(120, 3.5)), case="none", bandwidth=-1)
+        assert fits == []
 
     def test_one_qr_per_regression(self, qr_calls):
         pp_test(walk(8))
