@@ -10,7 +10,6 @@ is also available exactly.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -91,16 +90,6 @@ class PipelineConfig:
             raise ConfigError(f"unsupported output format {self.output_format!r}")
         if self.deterministic_case not in unitroot_mod.CASES:
             raise ConfigError(f"unsupported deterministic case {self.deterministic_case!r}")
-
-
-@contextlib.contextmanager
-def _stage(section_name: str):
-    """Tag any LongrunError or OSError escaping the block with the section it came from."""
-    try:
-        yield
-    except (LongrunError, OSError) as exc:
-        exc.section = section_name
-        raise
 
 
 def format_statistic(value: float) -> str:
@@ -284,29 +273,70 @@ def granger_section(panel: Panel, lag: int, on_levels: bool, alpha: float,
     )
 
 
-def load_inputs(cfg: PipelineConfig) -> Panel:
-    """Ingest, aggregate to monthly means and align the configured inputs."""
-    series = []
-    with _stage("ingest"):
-        for name, path in cfg.inputs.items():
-            raw = load_csv(path, date_format=cfg.date_format, name=name)
-            series.append(aggregate_monthly(raw))
-    with _stage("align"):
-        return align(*series)
+def _var_lag(run) -> int:
+    """The lag Johansen and Granger use: the given one, else the selected one (at least 1)."""
+    return run.lag if run.lag is not None else max(run("lag_selection")[0], 1)
+
+
+def _granger_stage(run) -> Section:
+    panel = run("align")
+    if panel.m != 2:
+        return Section(name="granger", title="Granger Causality Analysis", skipped=True,
+                       skip_reason=f"pairwise test needs exactly 2 series, panel has {panel.m}")
+    rank = run("johansen_trace")[0]
+    return granger_section(panel, _var_lag(run), run.cfg.granger_on_levels, run.cfg.alpha, rank)
+
+
+# Stage -> the call that builds it, in pipeline order.  A stage asks ``run``
+# for the stages it needs, so these calls are the dependencies between stages.
+_STAGES = {
+    "ingest": lambda run: [aggregate_monthly(load_csv(p, date_format=run.cfg.date_format, name=n))
+                           for n, p in run.cfg.inputs.items()],
+    "align": lambda run: align(*run("ingest")),
+    "summary_statistics": lambda run: summary_section(run("align")),
+    "correlation": lambda run: correlation_section(run("align")),
+    "unit_root_adf": lambda run: unit_root_section(run("align"), "adf", run.cfg.deterministic_case),
+    "unit_root_pp": lambda run: unit_root_section(run("align"), "pp", run.cfg.deterministic_case),
+    "lag_selection": lambda run: lag_selection_section(run("align"), run.cfg.max_lag),
+    "johansen_trace": lambda run: johansen_sections(run("align"), _var_lag(run) - 1),
+    "granger": _granger_stage,
+}
+
+# Section -> (stage, index) where the stage also returns values for later stages.
+_SECTION_OF = {"lag_selection": ("lag_selection", 1), "johansen_trace": ("johansen_trace", 1),
+               "johansen_maxeig": ("johansen_trace", 2)}
+
+
+class _Run:
+    """One pipeline run: ``run(stage)`` builds each stage at most once.
+
+    A class: closures over a per-run table would form a reference cycle that
+    keeps every stage result alive until the cyclic garbage collector runs.
+    """
+
+    def __init__(self, cfg: PipelineConfig, lag: int | None):
+        self.cfg, self.lag, self.done = cfg, lag, {}
+
+    def __call__(self, stage: str):
+        if stage not in self.done:
+            try:
+                self.done[stage] = _STAGES[stage](self)
+            except (LongrunError, OSError) as exc:
+                if getattr(exc, "section", None) is None:  # not tagged by a stage this one ran
+                    exc.section = stage
+                raise
+        return self.done[stage]
 
 
 def run_pipeline(cfg: PipelineConfig, sections=SECTION_ORDER, *, lag: int | None = None) -> Report:
     """Run the stages the requested ``sections`` need and return those sections.
 
-    Stages run in pipeline order: ingest, monthly aggregation, alignment,
-    summary statistics, correlation, ADF and PP at level and first
-    difference, lag selection, Johansen, Granger.  Lag selection runs for its
-    own section, and for Johansen or Granger when no ``lag`` is given.
-    Johansen runs for its own sections, and for the Granger caveat when the
-    panel is a pair.  Granger uses ``lag`` (by default the selected lag, at
-    least 1) and Johansen ``lag - 1`` lagged differences.  Sections come back
-    in pipeline order; errors raised inside a stage carry a ``section``
-    attribute naming it.
+    The calls between the rows of ``_STAGES`` are the run-for-whom rules:
+    every run ingests and aligns; Johansen runs lag selection only when no
+    ``lag`` is given; Granger runs Johansen, for its no-cointegration caveat,
+    only on a pair, and is a skipped section otherwise.  Sections come back in
+    pipeline order; an error escaping a stage carries a ``section`` attribute
+    naming the first stage it escaped.
     """
     cfg.validate()
     wanted = set(sections)
@@ -314,40 +344,10 @@ def run_pipeline(cfg: PipelineConfig, sections=SECTION_ORDER, *, lag: int | None
         raise ConfigError(f"unknown sections {sorted(wanted - set(SECTION_ORDER))}")
     if lag is not None and lag < 1:
         raise ConfigError(f"lag must be >= 1 (lagged differences >= 0), got lag {lag}")
-    panel = load_inputs(cfg)
-    granger_runs = "granger" in wanted and panel.m == 2
-    johansen_runs = granger_runs or bool(wanted & {"johansen_trace", "johansen_maxeig"})
-    built = {}
-
-    def build(name, make):
-        if name in wanted:
-            with _stage(name):
-                built[name] = make()
-
-    build("summary_statistics", lambda: summary_section(panel))
-    build("correlation", lambda: correlation_section(panel))
-    build("unit_root_adf", lambda: unit_root_section(panel, "adf", cfg.deterministic_case))
-    build("unit_root_pp", lambda: unit_root_section(panel, "pp", cfg.deterministic_case))
-    if "lag_selection" in wanted or (lag is None and johansen_runs):
-        with _stage("lag_selection"):
-            chosen, built["lag_selection"] = lag_selection_section(panel, cfg.max_lag)
-        if lag is None:
-            lag = max(chosen, 1)
-    if johansen_runs:
-        with _stage("johansen_trace"):
-            rank, built["johansen_trace"], built["johansen_maxeig"] = johansen_sections(
-                panel, lag - 1)
-    if granger_runs:
-        build("granger", lambda: granger_section(panel, lag, cfg.granger_on_levels,
-                                                 cfg.alpha, rank))
-    elif "granger" in wanted:
-        built["granger"] = Section(
-            name="granger",
-            title="Granger Causality Analysis",
-            skipped=True,
-            skip_reason=f"pairwise test needs exactly 2 series, panel has {panel.m}",
-        )
-    return Report([built[name] for name in SECTION_ORDER if name in wanted])
+    run = _Run(cfg, lag)
+    run("align")
+    picks = [_SECTION_OF.get(name, (name, None)) for name in SECTION_ORDER if name in wanted]
+    return Report([run(stage) if place is None else run(stage)[place] for stage, place in picks])
 
 
 def _render_text(report: Report) -> str:

@@ -129,6 +129,12 @@ class TestGrangerTest:
         tiny = causal_panel(length=10, seed=1)
         with pytest.raises(TooShort):
             granger_test(tiny, lag=4)
+        # the unrestricted design has 2*lag + 1 columns and n - lag rows
+        for lag in (3, 5):
+            with pytest.raises(TooShort):
+                granger_test(causal_panel(length=3 * lag + 1, seed=1), lag=lag)
+            forward, backward = granger_test(causal_panel(length=3 * lag + 2, seed=1), lag=lag)
+            assert forward.df == backward.df == (lag, 1)
         with pytest.raises(DomainError):
             granger_test(causal_panel(length=50, seed=1), lag=0)
 

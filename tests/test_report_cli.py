@@ -10,7 +10,7 @@ import pytest
 
 import longrun
 from longrun.cli import _build_config, _to_bool, build_parser, main
-from longrun.errors import ConfigError, GapError, TooShort
+from longrun.errors import ConfigError, GapError, NoOverlap, TooShort
 from longrun.granger import granger_test
 from longrun.johansen import johansen_test
 from longrun.report import (
@@ -18,10 +18,10 @@ from longrun.report import (
     PipelineConfig,
     Report,
     format_statistic,
-    load_inputs,
     render,
     run_pipeline,
 )
+from longrun.series import aggregate_monthly, align, load_csv
 from longrun.varmodel import select_lag
 
 SECTION_NAMES = list(SECTION_ORDER)
@@ -135,7 +135,8 @@ class TestPipeline:
     def test_johansen_and_granger_use_the_selected_lag(self, coint_csvs, max_lag):
         cfg = PipelineConfig(inputs=coint_csvs, max_lag=max_lag)
         report = run_pipeline(cfg)
-        panel = load_inputs(cfg)
+        panel = align(*[aggregate_monthly(load_csv(path, name=name))
+                        for name, path in coint_csvs.items()])
         chosen, _ = select_lag(panel, max_lag)
         lag = max(chosen, 1)
         johansen = johansen_test(panel, lagged_diffs=lag - 1)
@@ -449,6 +450,57 @@ class TestSubcommandsAreSectionFilters:
         capsys.readouterr()
         assert main([override[0], *input_args(walks_csvs), *override[1:]]) == 1
         assert capsys.readouterr().err.startswith("longrun: usage error: lag must be >= 1")
+
+
+class TestStageRules:
+    """Which stages a request runs, in what order and how often."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        for module, name, keys in ((longrun.varmodel, "select_lag", ()),
+                                   (longrun.johansen, "johansen_test", ("lagged_diffs",)),
+                                   (longrun.granger, "granger_test", ("lag",)),
+                                   (longrun.unitroot, "adf_test", ()),
+                                   (longrun.descriptive, "summarize", ())):
+            def spy(*args, _real=getattr(module, name), _name=name, _keys=keys, **kwargs):
+                log.append((_name, *(kwargs[k] for k in _keys)))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return log
+
+    @pytest.mark.parametrize("argv, want", [
+        (["johansen"], [("select_lag",), ("johansen_test", 1)]),
+        (["johansen", "--lagged-diffs", "3"], [("johansen_test", 3)]),
+        (["granger"], [("select_lag",), ("johansen_test", 1), ("granger_test", 2)]),
+        (["granger", "--lag", "4"], [("johansen_test", 3), ("granger_test", 4)]),
+        (["pipeline"], [("summarize",)] * 2 + [("adf_test",)] * 4
+         + [("select_lag",), ("johansen_test", 1), ("granger_test", 2)]),
+    ])
+    def test_subcommand_runs_each_needed_stage_once_in_order(self, coint_csvs, calls, capsys,
+                                                             argv, want):
+        assert main([*argv, *input_args(coint_csvs)]) == 0
+        assert calls == want
+
+    def test_granger_on_three_series_runs_no_stage(self, coint_csvs, walks_csvs, calls, capsys):
+        assert main(["granger", *input_args(dict(coint_csvs, c=walks_csvs["a"]))]) == 0
+        assert calls == []
+
+    def test_a_given_lag_wins_over_the_selected_one(self, coint_csvs, calls):
+        report = run_pipeline(PipelineConfig(inputs=coint_csvs),
+                              ["lag_selection", "johansen_trace", "granger"], lag=4)
+        assert calls == [("select_lag",), ("johansen_test", 3), ("granger_test", 4)]
+        assert report.section("lag_selection").notes == ["* Schwarz-criterion minimum: lag 2"]
+
+    def test_no_sections_still_ingest_and_align(self, coint_csvs, calls, tmp_path):
+        assert run_pipeline(PipelineConfig(inputs=coint_csvs), []).sections == []
+        assert calls == []
+        late = tmp_path / "late.csv"
+        late.write_text("2100-01-01,1\n2100-02-01,2\n", encoding="utf-8")
+        with pytest.raises(NoOverlap) as err:
+            run_pipeline(PipelineConfig(inputs=dict(coint_csvs, z=str(late))), [])
+        assert err.value.section == "align"
 
 
 # Every setting: its config-file line, the flags that say the same, the

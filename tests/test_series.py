@@ -431,6 +431,13 @@ class TestAggregateMonthly:
         assert (err.value.year, err.value.month) == (2012, 2)
         assert "2012:02" in str(err.value)
 
+    def test_series_ending_in_january(self):
+        raw = RawSeries("x", tuple(zip(monthly_dates(2000, 1, 25), map(float, range(25)))))
+        series = aggregate_monthly(raw)
+        assert len(series) == 25
+        assert series.start == (2000, 1)
+        assert series.values[-1] == raw.points[-1][1]
+
     def test_empty_series_is_an_empty_file(self):
         with pytest.raises(EmptyFile, match=r"^cannot aggregate an empty series$"):
             aggregate_monthly(RawSeries("x", ()))
@@ -456,12 +463,17 @@ class TestAlign:
         assert np.array_equal(ab.periods, ba.periods)
         assert len(ab) == 7
         assert ab.data[:, 0] == pytest.approx(a.values[3:])
+        late = make_series(np.arange(8.0), name="late", start=(2010, 9))
+        assert len(align(a, late)) == len(align(late, a)) == 2
 
     def test_disjoint_spans(self):
         a = make_series([1.0, 2.0], name="a", start=(2010, 1))
         b = make_series([1.0, 2.0], name="b", start=(2012, 1))
         with pytest.raises(NoOverlap):
             align(a, b)
+        one_month = make_series([1.0, 2.0], name="c", start=(2010, 2))
+        with pytest.raises(NoOverlap, match=r"^common span shorter than 2 months$"):
+            align(a, one_month)
 
     def test_one_series_is_a_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"^align needs at least two series$"):
