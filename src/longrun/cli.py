@@ -194,7 +194,7 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    from .synth import START, ProcessSpec, generate
+    from .synth import ProcessSpec, generate
     kind, coefficients = _SYNTH_KINDS[args.kind]
     result = generate(ProcessSpec(kind=kind, length=args.length, seed=args.seed, phi=args.phi,
                                   coefficients=coefficients, beta=args.beta,
@@ -203,7 +203,7 @@ def _cmd_synth(args) -> int:
         columns = zip([f"{args.kind}_{label}" for label in result.labels], result.data.T)
     else:
         columns = [(args.kind, result.values)]
-    dates = [dt.date(*_year_month(month_index(*START) + i), 1) for i in range(args.length)]
+    dates = [dt.date(*_year_month(month_index(*result.start) + i), 1) for i in range(args.length)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, values in columns:

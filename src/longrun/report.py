@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from . import descriptive, granger as granger_mod, johansen as johansen_mod
 from . import unitroot as unitroot_mod, varmodel
 from .errors import ConfigError, LongrunError
-from .series import Panel, Series, _year_month, aggregate_monthly, align, diff, load_csv
+from .series import Panel, Series, aggregate_monthly, align, diff, load_csv
 
 SCHEMA_VERSION = 1
 
@@ -112,19 +112,15 @@ def format_statistic(value: float) -> str:
 def format_cell(value, fmt) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if fmt is None or isinstance(value, (str, int)):
         return str(value)
     if fmt == FMT_STAT:
         return format_statistic(value)
-    if fmt == FMT_PVAL:
-        return f"{value:.4f}"
-    return str(value)
+    return f"{value:.4f}"
 
 
 def _series_from_panel(panel: Panel, j: int) -> Series:
-    return Series(panel.labels[j], _year_month(int(panel.periods[0])), panel.data[:, j])
+    return Series(panel.labels[j], panel.start, panel.data[:, j])
 
 
 # Summary-table row label -> SummaryStats field, in print order.

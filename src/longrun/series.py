@@ -11,6 +11,7 @@ import codecs
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -70,6 +71,17 @@ class RawSeries:
         return len(self.points)
 
 
+def _checked_start(start) -> tuple:
+    """``start`` as a (year, month) pair of ints with the month in 1..12, else DomainError."""
+    try:
+        year, month = map(operator.index, start)
+    except (TypeError, ValueError):
+        raise DomainError(f"start must be a (year, month) pair of ints, got {start!r}") from None
+    if not 1 <= month <= 12:
+        raise DomainError(f"start month must lie in 1..12, got {month}")
+    return year, month
+
+
 @dataclass(frozen=True)
 class Series:
     """Gap-free monthly observations starting at ``start`` = (year, month)."""
@@ -79,7 +91,10 @@ class Series:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _checked_start(self.start))
         object.__setattr__(self, "values", _frozen(self.values, float))
+        if self.values.ndim != 1:
+            raise DimensionMismatch(f"series {self.name!r} must be 1-D, got {self.values.ndim}-D")
         if not np.isfinite(self.values).all():
             raise DomainError(f"non-finite value in series {self.name!r}")
 
@@ -97,18 +112,18 @@ class Series:
 
 @dataclass(frozen=True)
 class Panel:
-    """Two or more series on one shared month axis; data is T x m."""
+    """Two or more series on one month axis from ``start`` = (year, month); data is T x m."""
 
     labels: tuple
-    periods: np.ndarray = field(repr=False)
+    start: tuple  # (year, month)
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", _frozen(self.periods, int))
+        object.__setattr__(self, "start", _checked_start(self.start))
         object.__setattr__(self, "data", _frozen(self.data, float))
-        if self.data.shape != (len(self.periods), len(self.labels)):
-            raise DimensionMismatch("panel data must be T x m with matching periods and labels")
-        if len(self.periods) < 2 or len(self.labels) < 2:
+        if self.data.ndim != 2 or self.data.shape[1] != len(self.labels):
+            raise DimensionMismatch("panel data must be T x m with one column per label")
+        if len(self.data) < 2 or len(self.labels) < 2:
             raise DimensionMismatch("panel needs at least 2 periods and 2 series")
 
     def __len__(self) -> int:
@@ -218,16 +233,13 @@ def aggregate_monthly(raw: RawSeries) -> Series:
     """
     if len(raw) == 0:
         raise EmptyFile("cannot aggregate an empty series")
-    buckets: dict[int, list] = {}
-    for d, v in raw.points:
-        buckets.setdefault(month_index(d.year, d.month), []).append(v)
     first = month_index(raw.points[0][0].year, raw.points[0][0].month)
-    last = month_index(raw.points[-1][0].year, raw.points[-1][0].month)
     values = []
-    for idx in range(first, last + 1):
-        if idx not in buckets:
-            raise GapError(*_year_month(idx))
-        month_values = buckets[idx]
+    # RawSeries dates are sorted and unique, so each month's points form one run
+    for idx, run in itertools.groupby(raw.points, key=lambda p: month_index(p[0].year, p[0].month)):
+        if idx != first + len(values):
+            raise GapError(*_year_month(first + len(values)))
+        month_values = [v for _, v in run]
         values.append(math.fsum(month_values) / len(month_values))
     return Series(raw.name, _year_month(first), values)
 
@@ -240,9 +252,8 @@ def align(*series: Series) -> Panel:
     end = min(s.end_index for s in series)
     if end - start + 1 < 2:
         raise NoOverlap("common span shorter than 2 months")
-    periods = np.arange(start, end + 1)
     data = np.column_stack([s.values[start - s.start_index: end - s.start_index + 1] for s in series])
-    return Panel(tuple(s.name for s in series), periods, data)
+    return Panel(tuple(s.name for s in series), _year_month(start), data)
 
 
 def diff(s: Series) -> Series:

@@ -16,7 +16,7 @@ from math import cos, log, pi, sin, sqrt
 import numpy as np
 
 from .errors import InvalidSpec
-from .series import Panel, Series, month_index
+from .series import Panel, Series
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -113,16 +113,16 @@ def generate(spec: ProcessSpec):
     rng = Rng(spec.seed)
     n = spec.length
     if spec.kind == "white_noise":
-        return _series("white_noise", rng.normals(n))
+        return Series("white_noise", START, rng.normals(n))
     if spec.kind == "random_walk":
-        return _series("random_walk", np.cumsum(rng.normals(n)))
+        return Series("random_walk", START, np.cumsum(rng.normals(n)))
     if spec.kind == "ar1":
         eps = rng.normals(n)
         x = np.empty(n)
         x[0] = eps[0]
         for t in range(1, n):
             x[t] = spec.phi * x[t - 1] + eps[t]
-        return _series("ar1", x)
+        return Series("ar1", START, x)
     if spec.kind == "var":
         mats = [np.asarray(a, dtype=float) for a in spec.coefficients]
         m = mats[0].shape[0]
@@ -133,7 +133,7 @@ def generate(spec: ProcessSpec):
                 if t - j >= 0:
                     acc = acc + a @ x[t - j]
             x[t] = acc
-        return _panel(tuple(f"y{i + 1}" for i in range(m)), x)
+        return Panel(tuple(f"y{i + 1}" for i in range(m)), START, x)
     # cointegrated_pair: x and y share the random-walk trend w, so y - beta*x
     # is stationary by construction.
     w = np.cumsum(rng.normals(n))
@@ -141,13 +141,4 @@ def generate(spec: ProcessSpec):
     eta = rng.normals(n)
     x = w + spec.noise_scale * eps
     y = spec.beta * w + spec.noise_scale * eta
-    return _panel(("x", "y"), np.column_stack([x, y]))
-
-
-def _series(name: str, values: np.ndarray) -> Series:
-    return Series(name, START, values)
-
-
-def _panel(labels: tuple, data: np.ndarray) -> Panel:
-    start = month_index(*START)
-    return Panel(labels, np.arange(start, start + data.shape[0]), data)
+    return Panel(("x", "y"), START, np.column_stack([x, y]))

@@ -35,11 +35,10 @@ def make_series(values, name="s", start=(2000, 1)) -> Series:
     return Series(name, start, np.asarray(values, dtype=float))
 
 
-def make_panel(*columns, labels=None, start_index=24000) -> Panel:
+def make_panel(*columns, labels=None, start=(2000, 1)) -> Panel:
     data = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     labels = tuple(labels) if labels else tuple(f"c{i}" for i in range(data.shape[1]))
-    periods = np.arange(start_index, start_index + data.shape[0])
-    return Panel(labels, periods, data)
+    return Panel(labels, start, data)
 
 
 @pytest.fixture

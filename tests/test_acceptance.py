@@ -150,10 +150,9 @@ class TestCriterion7PropertyAcceptance:
         cols = [walk_pair.labels[j] for j in range(2)]
         from longrun.series import Series
 
-        start = int(walk_pair.periods[0])
         level_ok, diff_ok = [], []
         for j in range(2):
-            s = Series(cols[j], (start // 12, start % 12 + 1), walk_pair.data[:, j])
+            s = Series(cols[j], walk_pair.start, walk_pair.data[:, j])
             level_ok.append(adf_test(s).decision_5pct == "unit_root")
             level_ok.append(pp_test(s).decision_5pct == "unit_root")
             diff_ok.append(adf_test(diff(s)).decision_5pct == "stationary")
@@ -217,14 +216,13 @@ class TestCriterion7PropertyAcceptance:
     def test_7f_scale_invariance_of_all_statistics(self, coint_pair):
         from longrun.series import Series
 
-        start = (int(coint_pair.periods[0]) // 12, int(coint_pair.periods[0]) % 12 + 1)
-        x = Series("x", start, coint_pair.data[:, 0])
-        scaled_x = Series("x", start, coint_pair.data[:, 0] * 250.0)
+        x = Series("x", coint_pair.start, coint_pair.data[:, 0])
+        scaled_x = Series("x", coint_pair.start, coint_pair.data[:, 0] * 250.0)
         worst = max(
             abs(adf_test(x, lags=1).statistic - adf_test(scaled_x, lags=1).statistic),
             abs(pp_test(x).statistic - pp_test(scaled_x).statistic),
         )
-        rescaled = Panel(coint_pair.labels, coint_pair.periods,
+        rescaled = Panel(coint_pair.labels, coint_pair.start,
                          coint_pair.data * np.array([250.0, 0.004]))
         base_j = johansen_test(coint_pair, lagged_diffs=1)
         moved_j = johansen_test(rescaled, lagged_diffs=1)

@@ -94,7 +94,7 @@ class TestGrangerTest:
 
     def test_column_permutation_swaps_results(self):
         panel = causal_panel(length=200, seed=7)
-        swapped = Panel(panel.labels[::-1], panel.periods, panel.data[:, ::-1])
+        swapped = Panel(panel.labels[::-1], panel.start, panel.data[:, ::-1])
         fwd, bwd = granger_test(panel, lag=2)
         fwd_s, bwd_s = granger_test(swapped, lag=2)
         assert fwd_s.f_statistic == bwd.f_statistic
@@ -104,7 +104,7 @@ class TestGrangerTest:
     @pytest.mark.parametrize("a,b", [(100.0, 3.0), (0.001, -9.0)])
     def test_affine_invariance(self, a, b):
         panel = causal_panel(length=200, seed=7)
-        moved = Panel(panel.labels, panel.periods,
+        moved = Panel(panel.labels, panel.start,
                       np.column_stack([a * panel.data[:, 0] + b, panel.data[:, 1]]))
         base = granger_test(panel, lag=1)
         rescaled = granger_test(moved, lag=1)

@@ -164,7 +164,7 @@ class TestJohansenTest:
 
     def test_scale_invariance(self, coint_pair):
         base = johansen_test(coint_pair, lagged_diffs=1)
-        scaled = Panel(coint_pair.labels, coint_pair.periods,
+        scaled = Panel(coint_pair.labels, coint_pair.start,
                        coint_pair.data * np.array([100.0, 0.01]))
         moved = johansen_test(scaled, lagged_diffs=1)
         assert moved.trace_stats == pytest.approx(base.trace_stats, abs=1e-8)
@@ -180,7 +180,7 @@ class TestJohansenTest:
         assert ranks[-1] == 1
 
     def test_too_short(self, walk_pair):
-        tiny = Panel(walk_pair.labels, walk_pair.periods[:12], walk_pair.data[:12])
+        tiny = Panel(walk_pair.labels, walk_pair.start, walk_pair.data[:12])
         with pytest.raises(TooShort):
             johansen_test(tiny, lagged_diffs=1)
 

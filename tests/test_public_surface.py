@@ -1,7 +1,10 @@
 """The package's public surface: ``from longrun import *``, every name in
 ``longrun.__all__`` (the synth names load lazily through the module's
-``__getattr__``) and README's Library example, run as written."""
+``__getattr__``), README's Library example, run as written, and the result
+fields the benchmark's reference outputs record."""
 
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -12,7 +15,8 @@ import pytest
 
 import longrun
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_python(code: str) -> str:
@@ -47,3 +51,20 @@ def test_readme_library_example_runs():
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert run_python(code) == "1 1 co-integrating relation(s) at the 0.05 level H3\n"
+
+
+def test_result_fields_match_the_benchmark_refs():
+    """bench/refs/long_pair.json stores each op's results key for key, so a renamed,
+    added or dropped field fails here rather than every benchmark op."""
+    refs = json.loads((ROOT / "bench" / "refs" / "long_pair.json").read_text(encoding="utf-8"))
+    op = next(iter(refs["outputs"].values()))
+    recorded = {
+        longrun.SummaryStats: op["summaries"][0],
+        longrun.UnitRootResult: op["unit_roots"][0][0],
+        longrun.LagSelectionRow: op["lag_selection"]["table"][0],
+        # the benchmark drops the eigenvectors: their scale and sign are not reported
+        longrun.JohansenResult: {**op["johansen"], "eigenvectors": None},
+        longrun.GrangerResult: op["granger"]["forward"],
+    }
+    for cls, record in recorded.items():
+        assert {f.name for f in dataclasses.fields(cls)} == set(record), cls.__name__

@@ -2,6 +2,7 @@ import codecs
 import csv
 import datetime as dt
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from longrun.series import (
     RawSeries,
     Series,
     _parse_date,
+    _year_month,
     aggregate_monthly,
     align,
     diff,
@@ -359,17 +361,47 @@ class TestSeriesAndPanelChecks:
         with pytest.raises(DomainError, match=r"^non-finite value in series 'x'$"):
             Series("x", (2000, 1), [1.0, value, 2.0])
 
-    def test_panel_shape_must_match_periods_and_labels(self):
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (4, 2, 1)], ids=["3 columns", "1-D", "3-D"])
+    def test_panel_data_must_be_t_by_m_with_one_column_per_label(self, shape):
         with pytest.raises(DimensionMismatch,
-                           match=r"^panel data must be T x m with matching periods and labels$"):
-            Panel(("a", "b"), np.arange(24000, 24003), np.ones((4, 2)))
+                           match=r"^panel data must be T x m with one column per label$"):
+            Panel(("a", "b"), (2000, 1), np.ones(shape))
 
     @pytest.mark.parametrize("labels, t", [(("a", "b"), 1), (("a",), 3)],
                              ids=["1 period", "1 series"])
     def test_panel_needs_two_periods_and_two_series(self, labels, t):
         with pytest.raises(DimensionMismatch,
                            match=r"^panel needs at least 2 periods and 2 series$"):
-            Panel(labels, np.arange(24000, 24000 + t), np.ones((t, len(labels))))
+            Panel(labels, (2000, 1), np.ones((t, len(labels))))
+
+    @pytest.mark.parametrize("values", [np.ones((4, 2)), 5.0], ids=["2-D", "0-D"])
+    def test_series_values_must_be_1d(self, values):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^series 'x' must be 1-D, got {np.ndim(values)}-D$"):
+            Series("x", (2000, 1), values)
+
+    @pytest.mark.parametrize("start, message", [
+        ((2000, 13), "start month must lie in 1..12, got 13"),
+        ((2000, 0), "start month must lie in 1..12, got 0"),
+        ((2000,), "start must be a (year, month) pair of ints, got (2000,)"),
+        ((2000, 1, 1), "start must be a (year, month) pair of ints, got (2000, 1, 1)"),
+        ((2000, 1.0), "start must be a (year, month) pair of ints, got (2000, 1.0)"),
+        ("2000", "start must be a (year, month) pair of ints, got '2000'"),
+        (None, "start must be a (year, month) pair of ints, got None"),
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda start: Series("x", start, [1.0, 2.0]),
+        lambda start: Panel(("a", "b"), start, np.ones((2, 2))),
+    ], ids=["Series", "Panel"])
+    def test_start_must_be_a_year_month_pair(self, build, start, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build(start)
+
+    def test_start_is_stored_as_a_tuple_of_python_ints(self):
+        for stored in (Series("x", [np.int64(2010), np.int64(9)], [1.0]).start,
+                       Panel(("a", "b"), np.array([2010, 9]), np.ones((2, 2))).start):
+            assert stored == (2010, 9)
+            assert [type(v) for v in stored] == [int, int]
 
 
 class TestStoredArraysAreCopies:
@@ -382,13 +414,12 @@ class TestStoredArraysAreCopies:
             s.values[0] = 5.0
 
     def test_panel_keeps_read_only_copies(self):
-        periods, data = np.arange(24000, 24004), np.ones((4, 2))
-        panel = Panel(("a", "b"), periods, data)
-        periods[0], data[0, 0] = 0, 5.0
-        assert (panel.periods[0], panel.data[0, 0]) == (24000, 1.0)
-        for stored in (panel.periods, panel.data):
-            with pytest.raises(ValueError, match="read-only"):
-                stored[0] = 7
+        data = np.ones((4, 2))
+        panel = Panel(("a", "b"), (2000, 1), data)
+        data[0, 0] = 5.0
+        assert panel.data[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            panel.data[0] = 7
 
 
 class TestAggregateMonthly:
@@ -442,6 +473,73 @@ class TestAggregateMonthly:
         with pytest.raises(EmptyFile, match=r"^cannot aggregate an empty series$"):
             aggregate_monthly(RawSeries("x", ()))
 
+    def test_multi_month_gap_names_its_first_month(self):
+        points = ((dt.date(2012, 1, 31), 1.0), (dt.date(2012, 4, 1), 4.0))
+        with pytest.raises(GapError) as err:
+            aggregate_monthly(RawSeries("x", points))
+        assert (err.value.year, err.value.month) == (2012, 2)
+
+    def test_first_of_two_gaps_late_in_a_long_series_is_named(self):
+        days = (dt.date(2000, 1, 1) + dt.timedelta(n) for n in range(20 * 365))
+        points = tuple((d, float(d.day)) for d in days
+                       if (d.year, d.month) not in ((2019, 8), (2019, 11)))
+        with pytest.raises(GapError) as err:
+            aggregate_monthly(RawSeries("x", points))
+        assert (err.value.year, err.value.month) == (2019, 8)
+        assert "2019:08" in str(err.value)
+
+
+def bucket_dict_aggregate_monthly(raw):
+    """aggregate_monthly as a dict of month buckets, then a loop over the month
+    range: the reference for aggregate_monthly's single walk over month runs."""
+    if len(raw) == 0:
+        raise EmptyFile("cannot aggregate an empty series")
+    buckets = {}
+    for d, v in raw.points:
+        buckets.setdefault(month_index(d.year, d.month), []).append(v)
+    first = month_index(raw.points[0][0].year, raw.points[0][0].month)
+    last = month_index(raw.points[-1][0].year, raw.points[-1][0].month)
+    values = []
+    for idx in range(first, last + 1):
+        if idx not in buckets:
+            raise GapError(*_year_month(idx))
+        month_values = buckets[idx]
+        values.append(math.fsum(month_values) / len(month_values))
+    return Series(raw.name, _year_month(first), values)
+
+
+@st.composite
+def dated_points(draw):
+    """Points on strictly increasing dates.  Steps of up to 28 days never skip a
+    month; longer steps can skip one or more, so some series have gaps."""
+    day = draw(st.dates(dt.date(1, 1, 1), dt.date(9000, 12, 31)))
+    max_step = draw(st.sampled_from([1, 28, 31, 75]))
+    steps = draw(st.lists(st.integers(1, max_step), max_size=80))
+    values = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+    points = []
+    for step in [0, *steps]:
+        day += dt.timedelta(step)
+        points.append((day, draw(values)))
+    return tuple(points)
+
+
+def aggregate_outcome(aggregate, raw):
+    """Name, start and each mean's bits, or the exception's type, text and gap month."""
+    try:
+        series = aggregate(raw)
+    except Exception as exc:  # compared by type, message and month
+        return type(exc), str(exc), getattr(exc, "year", None), getattr(exc, "month", None)
+    return series.name, series.start, [v.hex() for v in series.values.tolist()]
+
+
+class TestAggregateMonthlyMatchesBucketDict:
+    @settings(max_examples=200, deadline=None)
+    @given(dated_points())
+    def test_same_means_or_same_gap(self, points):
+        raw = RawSeries("x", points)
+        assert aggregate_outcome(aggregate_monthly, raw) == \
+            aggregate_outcome(bucket_dict_aggregate_monthly, raw)
+
 
 class TestAlign:
     def test_identical_spans(self):
@@ -460,7 +558,7 @@ class TestAlign:
         a = make_series(np.arange(10.0), name="a", start=(2010, 1))
         b = make_series(np.arange(8.0), name="b", start=(2010, 4))
         ab, ba = align(a, b), align(b, a)
-        assert np.array_equal(ab.periods, ba.periods)
+        assert ab.start == ba.start == (2010, 4)
         assert len(ab) == 7
         assert ab.data[:, 0] == pytest.approx(a.values[3:])
         late = make_series(np.arange(8.0), name="late", start=(2010, 9))
