@@ -131,12 +131,15 @@ def canonical_correlations(r0, r1) -> tuple:
 def log_det(M) -> float:
     """ln det M for symmetric positive definite M, via Cholesky.
 
-    Symmetric means within 1e-10 of max(1, max |M|).  Never forms the raw
-    determinant, so it stays accurate when det M would overflow or underflow.
+    Symmetric means within 1e-10 of max(1, max |M|); a non-finite entry is a
+    DomainError.  Never forms the raw determinant, so it stays accurate when
+    det M would overflow or underflow.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch("M must be square")
+    if not np.isfinite(M).all():
+        raise DomainError("non-finite value in M")
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.T).max() > 1e-10 * scale:
         raise NotPositiveDefinite("M is not symmetric")

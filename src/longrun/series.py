@@ -41,13 +41,6 @@ def _year_month(index: int) -> tuple:
     return index // 12, index % 12 + 1
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only copy of ``values``, so the caller's array stays its own."""
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class RawSeries:
     """Irregularly dated observations of one variable."""
@@ -71,15 +64,27 @@ class RawSeries:
         return len(self.points)
 
 
-def _checked_start(start) -> tuple:
-    """``start`` as a (year, month) pair of ints with the month in 1..12, else DomainError."""
+def _store_checked(obj, name: str, labels: tuple, shape_fault) -> None:
+    """Store ``obj.start`` as a (year, month) pair of ints, ``obj.<name>`` as a float copy.
+
+    The copy is read-only.  It is checked for ``shape_fault(copy)``'s message, if
+    any, then for a non-finite value, named by its column's label (one per label).
+    """
     try:
-        year, month = map(operator.index, start)
+        year, month = map(operator.index, obj.start)
     except (TypeError, ValueError):
-        raise DomainError(f"start must be a (year, month) pair of ints, got {start!r}") from None
+        raise DomainError(f"start must be a (year, month) pair of ints, got {obj.start!r}") from None
     if not 1 <= month <= 12:
         raise DomainError(f"start month must lie in 1..12, got {month}")
-    return year, month
+    object.__setattr__(obj, "start", (year, month))
+    out = np.array(getattr(obj, name), dtype=float)
+    out.flags.writeable = False
+    if fault := shape_fault(out):
+        raise DimensionMismatch(fault)
+    finite = np.isfinite(out).reshape(len(out), len(labels)).all(axis=0)
+    if not finite.all():
+        raise DomainError(f"non-finite value in series {labels[finite.argmin()]!r}")
+    object.__setattr__(obj, name, out)
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,8 @@ class Series:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _checked_start(self.start))
-        object.__setattr__(self, "values", _frozen(self.values, float))
-        if self.values.ndim != 1:
-            raise DimensionMismatch(f"series {self.name!r} must be 1-D, got {self.values.ndim}-D")
-        if not np.isfinite(self.values).all():
-            raise DomainError(f"non-finite value in series {self.name!r}")
+        _store_checked(self, "values", (self.name,), lambda v: (
+            v.ndim != 1 and f"series {self.name!r} must be 1-D, got {v.ndim}-D"))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -119,12 +120,10 @@ class Panel:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _checked_start(self.start))
-        object.__setattr__(self, "data", _frozen(self.data, float))
-        if self.data.ndim != 2 or self.data.shape[1] != len(self.labels):
-            raise DimensionMismatch("panel data must be T x m with one column per label")
-        if len(self.data) < 2 or len(self.labels) < 2:
-            raise DimensionMismatch("panel needs at least 2 periods and 2 series")
+        _store_checked(self, "data", self.labels, lambda d: (
+            "panel data must be T x m with one column per label"
+            if d.ndim != 2 or d.shape[1] != len(self.labels) else
+            min(d.shape) < 2 and "panel needs at least 2 periods and 2 series"))
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -229,7 +228,8 @@ def aggregate_monthly(raw: RawSeries) -> Series:
     """Collapse daily observations to the arithmetic mean of each month.
 
     Every month between the first and last observation must contain at least
-    one point; the first empty month raises GapError.
+    one point; the first empty month raises GapError.  A month whose values
+    sum beyond the float range raises DomainError naming it.
     """
     if len(raw) == 0:
         raise EmptyFile("cannot aggregate an empty series")
@@ -240,7 +240,11 @@ def aggregate_monthly(raw: RawSeries) -> Series:
         if idx != first + len(values):
             raise GapError(*_year_month(first + len(values)))
         month_values = [v for _, v in run]
-        values.append(math.fsum(month_values) / len(month_values))
+        try:
+            values.append(math.fsum(month_values) / len(month_values))
+        except OverflowError:
+            raise DomainError("values of month {:04d}:{:02d} sum beyond the float range"
+                              .format(*_year_month(idx))) from None
     return Series(raw.name, _year_month(first), values)
 
 

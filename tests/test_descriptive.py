@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from longrun.descriptive import correlation, jarque_bera, summarize
 from longrun.distributions import chi2_sf
-from longrun.errors import ConstantColumn, ConstantSeries, TooShort
+from longrun.errors import ConstantColumn, ConstantSeries, DomainError, TooShort
+from longrun.series import Panel
 from longrun.synth import ProcessSpec, Rng, generate
 
 from conftest import make_panel, make_series
@@ -134,3 +135,17 @@ class TestCorrelation:
     def test_too_short(self):
         with pytest.raises(TooShort):
             correlation(make_panel([1.0, 2.0], [3.0, 5.0]))
+
+    @given(st.data(), st.integers(3, 30), st.integers(2, 4))
+    def test_finite_draws_give_a_finite_matrix_and_one_non_finite_cell_raises(self, data, t, m):
+        draws = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=t * m, max_size=t * m))
+        panel_data = np.array(draws, dtype=float).reshape(t, m) / 8
+        assume((np.ptp(panel_data, axis=0) > 0).all())
+        labels = tuple(f"c{j}" for j in range(m))
+        corr = correlation(Panel(labels, (2000, 1), panel_data))
+        assert np.isfinite(corr).all()
+        assert (np.diag(corr) == 1.0).all()
+        row, col = data.draw(st.integers(0, t - 1)), data.draw(st.integers(0, m - 1))
+        panel_data[row, col] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(DomainError, match=f"^non-finite value in series 'c{col}'$"):
+            correlation(Panel(labels, (2000, 1), panel_data))

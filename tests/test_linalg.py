@@ -6,7 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longrun.errors import DimensionMismatch, NotPositiveDefinite, RankDeficient, TooShort
+from longrun.errors import (
+    DimensionMismatch,
+    DomainError,
+    NotPositiveDefinite,
+    RankDeficient,
+    TooShort,
+)
 from longrun.linalg import (
     RANK_RTOL,
     _factor,
@@ -226,6 +232,13 @@ class TestLogDet:
     def test_non_square_m_is_a_dimension_mismatch(self, M):
         with pytest.raises(DimensionMismatch, match="^M must be square$"):
             log_det(M)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_m_is_a_domain_error_before_the_symmetry_check(self, bad):
+        # an inf entry would otherwise meet inf - inf in M - M.T
+        for M in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]]):
+            with pytest.raises(DomainError, match="^non-finite value in M$"):
+                log_det(np.array(M))
 
     def test_asymmetric_m_is_rejected(self):
         # a Cholesky factorization reads only the lower triangle, so M's

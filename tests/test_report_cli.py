@@ -364,6 +364,13 @@ class TestCli:
         assert capsys.readouterr().err == ("longrun: error [ingest]: ParseError: line 2: "
                                            "field larger than field limit (131072)\n")
 
+    def test_month_sum_overflow_is_a_data_error_tagged_ingest(self, walks_csvs, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("2012-01-15,1e308\n2012-01-16,1e308\n2012-02-01,1\n", encoding="utf-8")
+        assert main(["pipeline", "--input", f"a={big}", "--input", f"b={walks_csvs['b']}"]) == 2
+        assert capsys.readouterr().err == ("longrun: error [ingest]: DomainError: values of month "
+                                           "2012:01 sum beyond the float range\n")
+
     def test_exact_fit_is_a_data_error_naming_its_section(self, walks_csvs, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         rows = Path(walks_csvs["a"]).read_text(encoding="utf-8").splitlines()

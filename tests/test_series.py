@@ -356,10 +356,26 @@ class TestRawSeries:
 
 
 class TestSeriesAndPanelChecks:
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_series_with_a_non_finite_value(self, value):
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("build", [
+        lambda value: Series("x", (2000, 1), [1.0, value, 2.0]),
+        lambda value: Panel(("a", "x"), (2000, 1), [[1.0, 2.0], [3.0, value], [4.0, 5.0]]),
+    ], ids=["Series", "Panel"])
+    def test_series_with_a_non_finite_value(self, build, value):
         with pytest.raises(DomainError, match=r"^non-finite value in series 'x'$"):
-            Series("x", (2000, 1), [1.0, value, 2.0])
+            build(value)
+
+    def test_panel_names_the_first_column_with_a_non_finite_value(self):
+        data = np.ones((3, 3))
+        data[2, 1] = data[0, 2] = math.nan
+        with pytest.raises(DomainError, match=r"^non-finite value in series 'b'$"):
+            Panel(("a", "b", "c"), (2000, 1), data)
+
+    def test_shape_is_checked_before_finiteness(self):
+        with pytest.raises(DimensionMismatch, match=r"^series 'x' must be 1-D, got 2-D$"):
+            Series("x", (2000, 1), [[math.nan]])
+        with pytest.raises(DimensionMismatch, match=r"^panel needs at least 2 periods"):
+            Panel(("a", "b"), (2000, 1), [[math.nan, 1.0]])
 
     @pytest.mark.parametrize("shape", [(4, 3), (4,), (4, 2, 1)], ids=["3 columns", "1-D", "3-D"])
     def test_panel_data_must_be_t_by_m_with_one_column_per_label(self, shape):
@@ -488,6 +504,15 @@ class TestAggregateMonthly:
         assert (err.value.year, err.value.month) == (2019, 8)
         assert "2019:08" in str(err.value)
 
+    @pytest.mark.parametrize("values", [(1e308, 1e308), (-1e308, -1e308, 1e308)],
+                             ids=["sum overflows", "partial sum overflows"])
+    def test_month_sum_beyond_the_float_range_is_a_domain_error(self, values):
+        points = ((dt.date(2011, 12, 31), 1.0),
+                  *((dt.date(2012, 1, 1 + i), v) for i, v in enumerate(values)),
+                  (dt.date(2012, 2, 1), 2.0))
+        with pytest.raises(DomainError, match=r"^values of month 2012:01 sum beyond the float range$"):
+            aggregate_monthly(RawSeries("x", points))
+
 
 def bucket_dict_aggregate_monthly(raw):
     """aggregate_monthly as a dict of month buckets, then a loop over the month
@@ -504,7 +529,11 @@ def bucket_dict_aggregate_monthly(raw):
         if idx not in buckets:
             raise GapError(*_year_month(idx))
         month_values = buckets[idx]
-        values.append(math.fsum(month_values) / len(month_values))
+        try:
+            values.append(math.fsum(month_values) / len(month_values))
+        except OverflowError:
+            raise DomainError("values of month {:04d}:{:02d} sum beyond the float range"
+                              .format(*_year_month(idx))) from None
     return Series(raw.name, _year_month(first), values)
 
 
@@ -600,6 +629,10 @@ class TestDiff:
     def test_too_short(self):
         with pytest.raises(TooShort, match=r"^series of length 1 cannot be differenced$"):
             diff(make_series([1.0]))
+
+    def test_two_points_give_one_difference(self):
+        d = diff(make_series([1.0, 4.0], start=(2000, 12)))
+        assert (d.start, d.values.tolist()) == ((2001, 1), [3.0])
 
 
 class TestLagMatrix:
