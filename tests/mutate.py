@@ -13,12 +13,13 @@ directory, never into ``src/``, and tier-1 runs there with ``-x``, the
 known-red ``3c`` deselected.  A mutant that no test fails survives; the
 survivors are printed at the end.
 
-    PYTHONPATH=src python tests/mutate.py [--module series] [--sample 20] [--seed 0]
+    PYTHONPATH=src python tests/mutate.py [--module series] [--sample 20]
 
 ``--module`` (repeatable) limits the sites to the named modules, and
-``--sample N`` draws N of the sites at random with ``--seed``.  A mutant
-that runs past ``--timeout`` seconds counts as killed.  The file name does
-not match ``test_*.py``, so pytest never collects it.
+``--sample N`` draws N of the sites at random, always with seed 0, so a run
+can be repeated.  A mutant whose tier-1 run takes more than 300 seconds
+counts as killed.  The file name does not match ``test_*.py``, so pytest
+never collects it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ SWAPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
 }
+TIMEOUT = 300.0  # seconds per tier-1 run
 COPY_IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache")
 
 
@@ -105,7 +107,7 @@ def mutants(path: Path, executed: set) -> list:
     return out
 
 
-def run_tier1(copy: Path, timeout: float) -> tuple:
+def run_tier1(copy: Path) -> tuple:
     """Run tier-1 with ``-x`` in ``copy``: (True when every test passed, seconds)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     began = time.perf_counter()
@@ -114,7 +116,7 @@ def run_tier1(copy: Path, timeout: float) -> tuple:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--deselect", KNOWN_RED, "tests"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout)
+            timeout=TIMEOUT)
         passed = done.returncode == 0
     except subprocess.TimeoutExpired:
         passed = False
@@ -125,8 +127,6 @@ def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", action="append", help="mutate only this module (repeatable)")
     parser.add_argument("--sample", type=int, help="mutate this many sites, drawn at random")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the --sample draw")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per tier-1 run")
     args = parser.parse_args(argv)
     os.chdir(ROOT)
     paths = sorted(PACKAGE.glob("*.py"))
@@ -140,14 +140,14 @@ def main(argv: list) -> int:
     _, executed = run(["-q", "-p", "no:cacheprovider", "--deselect", KNOWN_RED, "tests"])
     sites = [m for p in paths for m in mutants(p, executed[str(p)])]
     if args.sample is not None and args.sample < len(sites):
-        sites = sorted(random.Random(args.seed).sample(sites, args.sample), key=lambda m: m[:2])
+        sites = sorted(random.Random(0).sample(sites, args.sample), key=lambda m: m[:2])
     print(f"{len(sites)} mutants", flush=True)
 
     survivors = []
     with tempfile.TemporaryDirectory(prefix="longrun-mutate-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
-        passed, seconds = run_tier1(copy, args.timeout)
+        passed, seconds = run_tier1(copy)
         if not passed:
             print(f"tier-1 fails on the unmutated copy ({seconds:.0f} s); no mutant can be judged")
             return 1
@@ -156,7 +156,7 @@ def main(argv: list) -> int:
             original = target.read_text(encoding="utf-8")
             target.write_text(text, encoding="utf-8")
             try:
-                passed, seconds = run_tier1(copy, args.timeout)
+                passed, seconds = run_tier1(copy)
             finally:
                 target.write_text(original, encoding="utf-8")
             print(f"{module}.py:{line}: {description}: {'SURVIVED' if passed else 'killed'} "

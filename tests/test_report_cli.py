@@ -369,7 +369,7 @@ class TestCli:
         big.write_text("2012-01-15,1e308\n2012-01-16,1e308\n2012-02-01,1\n", encoding="utf-8")
         assert main(["pipeline", "--input", f"a={big}", "--input", f"b={walks_csvs['b']}"]) == 2
         assert capsys.readouterr().err == ("longrun: error [ingest]: DomainError: values of month "
-                                           "2012:01 sum beyond the float range\n")
+                                           "2012:01 overflow when summed\n")
 
     def test_exact_fit_is_a_data_error_naming_its_section(self, walks_csvs, tmp_path, capsys):
         flat = tmp_path / "flat.csv"

@@ -510,7 +510,7 @@ class TestAggregateMonthly:
         points = ((dt.date(2011, 12, 31), 1.0),
                   *((dt.date(2012, 1, 1 + i), v) for i, v in enumerate(values)),
                   (dt.date(2012, 2, 1), 2.0))
-        with pytest.raises(DomainError, match=r"^values of month 2012:01 sum beyond the float range$"):
+        with pytest.raises(DomainError, match=r"^values of month 2012:01 overflow when summed$"):
             aggregate_monthly(RawSeries("x", points))
 
 
@@ -532,7 +532,7 @@ def bucket_dict_aggregate_monthly(raw):
         try:
             values.append(math.fsum(month_values) / len(month_values))
         except OverflowError:
-            raise DomainError("values of month {:04d}:{:02d} sum beyond the float range"
+            raise DomainError("values of month {:04d}:{:02d} overflow when summed"
                               .format(*_year_month(idx))) from None
     return Series(raw.name, _year_month(first), values)
 
