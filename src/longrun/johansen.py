@@ -124,7 +124,7 @@ def _trace_rank(trace, crit) -> int:
     return len(trace)
 
 
-def johansen_test(panel: Panel, lagged_diffs: int = 1) -> JohansenResult:
+def johansen_test(panel: Panel, lagged_diffs: int) -> JohansenResult:
     """Run the Johansen rank test on a panel of integrated series.
 
     ``lagged_diffs`` is k - 1 for an underlying VAR(k) in levels; the

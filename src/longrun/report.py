@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from . import descriptive, granger as granger_mod, johansen as johansen_mod
@@ -93,19 +94,12 @@ class PipelineConfig:
 
 
 def format_statistic(value: float) -> str:
-    """Render a statistic into (up to) 8 significant characters, sign extra."""
+    """Render a statistic into (up to) 8 significant characters, sign extra: the
+    most decimals, 6 down to 0, that fit, else .2E, which 0 < |x| < 1e-4 and
+    +-inf always take (so inf prints INF, while NaN prints nan)."""
     a = abs(value)
-    if a >= 1e8 or (a != 0.0 and a < 1e-4):
-        digits = f"{a:.2E}"
-    else:
-        digits = f"{a:.0f}"
-        for d in range(6, 0, -1):
-            cand = f"{a:.{d}f}"
-            if len(cand) <= 8:
-                digits = cand
-                break
-        if len(digits) > 8:  # rounding of .0f can spill past 1e8
-            digits = f"{a:.2E}"
+    fixed = () if a == math.inf or 0.0 < a < 1e-4 else (f"{a:.{d}f}" for d in range(6, -1, -1))
+    digits = next((s for s in fixed if len(s) <= 8), f"{a:.2E}")
     return "-" + digits if value < 0 else digits
 
 
@@ -356,18 +350,11 @@ def _render_text(report: Report) -> str:
             out.append("")
             continue
         cells = [[format_cell(v, f) for v, f in zip(row, s.formats)] for row in s.rows]
-        widths = [
-            max(len(s.columns[j]), *(len(r[j]) for r in cells)) if cells else len(s.columns[j])
-            for j in range(len(s.columns))
-        ]
-        header = "  ".join(s.columns[j].ljust(widths[j]) for j in range(len(s.columns)))
-        out.append(header.rstrip())
+        widths = [max(map(len, column)) for column in zip(s.columns, *cells)]
+        out.append("  ".join(c.ljust(w) for c, w in zip(s.columns, widths)).rstrip())
         for r in cells:
-            line = "  ".join(
-                r[j].ljust(widths[j]) if s.formats[j] is None else r[j].rjust(widths[j])
-                for j in range(len(s.columns))
-            )
-            out.append(line.rstrip())
+            out.append("  ".join(c.ljust(w) if f is None else c.rjust(w)
+                                 for c, w, f in zip(r, widths, s.formats)).rstrip())
         for note in s.notes:
             out.append(f"Note: {note}")
         out.append("")
@@ -383,8 +370,7 @@ def _render_csv(report: Report) -> str:
             buf.write(f"# skipped: {s.skip_reason}\n")
             continue
         writer.writerow(s.columns)
-        for row in s.rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerows(s.rows)  # None is written as an empty field
         for note in s.notes:
             buf.write(f"# note: {note}\n")
     return buf.getvalue()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import DomainError, TooShort, UnsupportedCase
-from .linalg import _unscaled_covariance, ols_fit
+from .linalg import _exact_fit, _unscaled_covariance, ols_fit
 from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -150,9 +150,9 @@ def _df_design(x: np.ndarray, case: str, lags: int):
 
 def _fit(X: np.ndarray, y: np.ndarray):
     """OLS fit of a Dickey-Fuller regression, which has no t ratio when exact or
-    within rounding of exact (ssr <= (T eps)^2 y'y), where its sign is noise."""
+    within rounding of exact (linalg._exact_fit), where its sign is noise."""
     fit = ols_fit(X, y)
-    if fit.ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
+    if _exact_fit(fit, y):
         raise DomainError("exact fit: the Dickey-Fuller regression has zero residuals")
     return fit
 

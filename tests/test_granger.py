@@ -139,6 +139,20 @@ class TestGrangerTest:
             granger_test(causal_panel(length=50, seed=1), lag=0)
 
 
+class TestExactFit:
+    # e_t = 100 * 1.01^t is an exact function of its own lag, so the regression
+    # of e fits to rounding noise; its F once read 0 (p 1) on e and 1000 e but
+    # 29.32 (p 3.4e-7, "drives") on 3e + 7
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (1000.0, 0.0), (3.0, 7.0)],
+                             ids=["e", "1000e", "3e+7"])
+    def test_a_fit_within_rounding_is_a_domain_error(self, a, b):
+        cause = np.cumsum(np.random.default_rng(1).standard_normal(120))
+        effect = a * 100.0 * 1.01 ** np.arange(120) + b
+        panel = Panel(("c", "e"), (2000, 1), np.column_stack([cause, effect]))
+        with pytest.raises(DomainError, match="^exact fit: the regression of e on the lags"):
+            granger_test(panel, lag=1)
+
+
 class TestHypothesisVerdict:
     def test_paper_pvalues_give_none(self):
         results = (fake_result(("gold", "nepse"), 0.1304), fake_result(("nepse", "gold"), 0.2448))
@@ -155,6 +169,12 @@ class TestHypothesisVerdict:
     def test_both_is_h3(self):
         results = (fake_result(("gold", "nepse"), 0.01), fake_result(("nepse", "gold"), 0.01))
         assert hypothesis_verdict(results, 0.05) == "H3"
+
+    @pytest.mark.parametrize("p_values", [(0.05, 0.20), (0.20, 0.05)],
+                             ids=["forward", "backward"])
+    def test_a_p_value_equal_to_alpha_does_not_reject(self, p_values):
+        results = (fake_result(("a", "b"), p_values[0]), fake_result(("b", "a"), p_values[1]))
+        assert hypothesis_verdict(results, 0.05) == "none"
 
     def test_alpha_domain(self):
         results = (fake_result(("a", "b"), 0.5), fake_result(("b", "a"), 0.5))

@@ -117,15 +117,23 @@ class TestApproxPvalues:
         assert approx_pvalue("trace", 1, 0.835353) == pytest.approx(0.3607, abs=0.02)
 
     def test_five_percent_consistency_with_critical_values(self):
-        # the fitted gamma reproduces its own 5% quantile
-        for kind, dim in (("trace", 1), ("trace", 2), ("max_eigen", 2)):
-            cv = johansen_critical("constant", dim, kind)
-            assert approx_pvalue(kind, dim, cv) == pytest.approx(0.05, abs=0.005)
+        # every fitted gamma reproduces its own 5% quantile, within 2.2e-5; a
+        # table entry one unit off moves its p-value by at least 0.0074
+        for kind in ("trace", "max_eigen"):
+            for dim in range(1, 7):
+                cv = johansen_critical("constant", dim, kind)
+                assert approx_pvalue(kind, dim, cv) == pytest.approx(0.05, abs=1e-4)
 
     def test_monotone(self):
         grid = np.linspace(0.0, 40.0, 81)
         values = [approx_pvalue("trace", 2, float(x)) for x in grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("kind", ["trace", "max_eigen"])
+    def test_a_statistic_at_or_below_zero_has_p_value_one(self, kind):
+        # gamma_sf rejects a negative x, so -1.0 needs the guard
+        assert approx_pvalue(kind, 2, 0.0) == approx_pvalue(kind, 2, -1.0) == 1.0
+        assert approx_pvalue(kind, 2, 0.5) < 1.0
 
     @pytest.mark.parametrize("m_minus_r", [0, 7])
     def test_unsupported_dimension(self, m_minus_r):
@@ -268,6 +276,13 @@ class TestJohansenTest:
         assert np.all((result.eigenvalues >= 0.0) & (result.eigenvalues < 1.0))
         assert np.isfinite(result.trace_stats).all()
         assert np.isfinite(result.max_eigen_stats).all()
+
+
+class TestTraceRank:
+    def test_a_statistic_equal_to_its_critical_value_rejects(self):
+        # the decision stops at the first trace(r) strictly below crit(r)
+        assert johansen._trace_rank([15.5, 3.0], [15.5, 3.8]) == 1
+        assert johansen._trace_rank([15.5, 3.8], [15.5, 3.8]) == 2
 
 
 class TestRankDecision:

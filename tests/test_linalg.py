@@ -92,6 +92,10 @@ class TestOlsFit:
         with pytest.raises(RankDeficient):
             ols_fit(X, np.ones(10))
 
+    def test_all_zero_design_is_rank_deficient(self):
+        with pytest.raises(RankDeficient, match=r"\(sv ratio 0\.00e\+00\)$"):
+            ols_fit(np.zeros((10, 2)), np.ones(10))
+
     def test_one_dimensional_x_is_a_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ols_fit(np.arange(5.0), np.ones(5))
@@ -191,6 +195,13 @@ class TestCanonicalCorrelations:
         w, _ = canonical_correlations(r, 3.0 * r)
         assert w == pytest.approx([1.0, 1.0], abs=1e-14)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_column_space_gives_correlations_clipped_to_one(self, seed):
+        # unclipped, the squared singular values reach 1 + 4.4e-16 on some draws
+        r = _walk_block(seed, 60, 2)
+        w, _ = canonical_correlations(r, r @ np.array([[2.0, 1.0], [-1.0, 3.0]]))
+        assert np.all(w <= 1.0)
+
     def test_exactly_collinear_block_is_rank_deficient(self):
         r0 = _walk_block(6, 60, 2)
         a = _walk_block(7, 60, 1)
@@ -239,6 +250,11 @@ class TestLogDet:
         for M in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]]):
             with pytest.raises(DomainError, match="^non-finite value in M$"):
                 log_det(np.array(M))
+
+    def test_symmetry_tolerance_has_a_scale_floor_of_one(self):
+        # 1.5e-10 of asymmetry passes 1e-10 * max|M| = 1e-13 by far, but not 1e-10 * 1
+        with pytest.raises(NotPositiveDefinite, match="^M is not symmetric$"):
+            log_det(np.array([[1e-3, 1.5e-10], [0.0, 1e-3]]))
 
     def test_asymmetric_m_is_rejected(self):
         # a Cholesky factorization reads only the lower triangle, so M's

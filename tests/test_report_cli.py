@@ -1,12 +1,15 @@
 import codecs
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import longrun
 from longrun.cli import _build_config, _to_bool, build_parser, main
@@ -17,6 +20,7 @@ from longrun.report import (
     SECTION_ORDER,
     PipelineConfig,
     Report,
+    Section,
     format_statistic,
     render,
     run_pipeline,
@@ -58,6 +62,25 @@ def coint_csvs(tmp_path):
     return {"x": str(out / "coint_x.csv"), "y": str(out / "coint_y.csv")}
 
 
+def reference_format_statistic(value: float) -> str:
+    """format_statistic as a fixed-point loop over 6 down to 1 decimals with a
+    separate .0f default and a re-check for rounding past 1e8: the reference
+    for the single search over 6 down to 0 decimals."""
+    a = abs(value)
+    if a >= 1e8 or (a != 0.0 and a < 1e-4):
+        digits = f"{a:.2E}"
+    else:
+        digits = f"{a:.0f}"
+        for d in range(6, 0, -1):
+            cand = f"{a:.{d}f}"
+            if len(cand) <= 8:
+                digits = cand
+                break
+        if len(digits) > 8:  # rounding of .0f can spill past 1e8
+            digits = f"{a:.2E}"
+    return "-" + digits if value < 0 else digits
+
+
 class TestFormatStatistic:
     def test_eight_character_layout(self):
         assert format_statistic(11.262713) == "11.26271"
@@ -73,6 +96,19 @@ class TestFormatStatistic:
         # fixed-point rounding that carries past 1e8 falls back as well
         assert format_statistic(99999999.5) == "1.00E+08"
         assert format_statistic(-99999999.7) == "-1.00E+08"
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0.000000"), (-0.0, "0.000000"), (1e-4, "0.000100"), (-1e-4, "-0.000100"),
+        (9.9999995e-5, "1.00E-04"), (9999999.95, "10000000"), (99999999.5, "1.00E+08"),
+        (1e8, "1.00E+08"), (math.inf, "INF"), (-math.inf, "-INF"), (math.nan, "nan"),
+    ])
+    def test_edges(self, value, text):
+        assert format_statistic(value) == text == reference_format_statistic(value)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(st.floats(), st.floats(-1e9, 1e9), st.floats(-1e-3, 1e-3)))
+    def test_matches_the_reference_on_every_float(self, value):
+        assert format_statistic(value) == reference_format_statistic(value)
 
 
 class TestPipeline:
@@ -172,8 +208,9 @@ class TestPipeline:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             PipelineConfig(inputs={"a": "x.csv"}).validate()
-        with pytest.raises(ConfigError):
-            PipelineConfig(inputs={"a": "x", "b": "y"}, alpha=2.0).validate()
+        for alpha in (0.0, 1.0, 2.0):  # alpha lies in the open interval (0, 1)
+            with pytest.raises(ConfigError, match=r"^alpha must lie in \(0, 1\)$"):
+                PipelineConfig(inputs={"a": "x", "b": "y"}, alpha=alpha).validate()
         with pytest.raises(ConfigError):
             PipelineConfig(inputs={"a": "x", "b": "y"}, max_lag=-1).validate()
         with pytest.raises(ConfigError, match="unsupported output format 'xml'"):
@@ -206,6 +243,16 @@ class TestRender:
         for section, parsed_section in zip(report.sections, parsed["sections"]):
             for row, parsed_row in zip(section.rows, parsed_section["rows"]):
                 assert list(row) == parsed_row
+
+    def test_a_section_without_rows_renders_its_header_as_text(self):
+        section = Section("empty", "Empty", columns=("Name", "Value"), formats=(None, "stat"))
+        assert render(Report([section]), "text") == "Empty\n=====\nName  Value\n"
+
+    def test_csv_writes_a_none_cell_as_an_empty_field(self):
+        section = Section("s", "S", columns=("", "x", "p"), formats=(None, "stat", "pval"),
+                          rows=[["5%", -2.5, None], ["a,b", None, 0.25]])
+        assert render(Report([section]), "csv") == \
+            '# section: s\n,x,p\n5%,-2.5,\n"a,b",,0.25\n'
 
     def test_csv_stream_has_section_markers(self, walks_csvs):
         report = run_pipeline(PipelineConfig(inputs=walks_csvs))

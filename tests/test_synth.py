@@ -8,7 +8,7 @@ from longrun.linalg import ols_fit
 from longrun.series import Panel, Series
 from longrun.synth import ProcessSpec, Rng, generate
 
-from conftest import lcg_uniforms
+from conftest import LCG_A, LCG_C, LCG_M, lcg_uniforms
 
 
 class TestRng:
@@ -47,6 +47,14 @@ class TestRng:
         got = Rng(3).normal()
         assert got == expected
         assert got == -0.9455879416978901  # frozen from the oracle above
+
+    def test_a_zero_uniform_takes_the_two_to_the_minus_64_floor(self):
+        # the state whose next LCG step is exactly 0: (-C A^-1) mod 2^64
+        state = (-LCG_C * pow(LCG_A, -1, LCG_M)) % LCG_M
+        u1, u2 = lcg_uniforms(state, 2)
+        assert u1 == 0.0
+        expected = math.sqrt(-2.0 * math.log(2.0 ** -64)) * math.cos(2.0 * math.pi * u2)
+        assert Rng(state).normal() == expected
 
     def test_normal_sine_branch_second(self):
         u1, u2 = lcg_uniforms(17, 2)

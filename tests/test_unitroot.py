@@ -86,6 +86,12 @@ class TestMacKinnonPvalue:
         for tau in (math.nextafter(tau_max, math.inf), tau_max + 1.0, 50.0):
             assert mackinnon_pvalue(tau, case) == 1.0
 
+    @pytest.mark.parametrize("case, tau_min", [("none", -19.04), ("constant", -18.83),
+                                               ("constant_trend", -16.18)])
+    def test_zero_below_the_surface_and_positive_from_its_edge(self, case, tau_min):
+        assert mackinnon_pvalue(math.nextafter(tau_min, -math.inf), case) == 0.0
+        assert mackinnon_pvalue(tau_min, case) > 0.0
+
     @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
     def test_monotone_increasing(self, case):
         grid = np.arange(-12.0, 0.6, 0.25)

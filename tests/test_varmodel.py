@@ -6,7 +6,7 @@ import pytest
 from longrun.errors import DomainError, RankDeficient, TooShort
 from longrun.linalg import log_det, ols_fit
 from longrun.series import lag_matrix
-from longrun.synth import ProcessSpec, generate
+from longrun.synth import ProcessSpec, Rng, generate
 from longrun.varmodel import LN_2PI, _var_loglik, select_lag
 
 from conftest import make_panel
@@ -120,6 +120,16 @@ class TestSelectLag:
     def test_too_short(self):
         with pytest.raises(TooShort):
             select_lag(make_panel(np.arange(8.0), np.arange(8.0)[::-1] ** 2), 4)
+
+    def test_too_short_at_its_boundary_is_its_own_error(self):
+        # t = n - max_lag = m max_lag + 1 leaves the widest design square; with m
+        # more rows each equation of the widest VAR keeps m residual degrees of
+        # freedom, and every lag is compared
+        a, b = Rng(1).normals(12), Rng(2).normals(12)
+        with pytest.raises(TooShort, match="^panel of length 10 cannot compare lags up to 3$"):
+            select_lag(make_panel(a[:10], b[:10]), 3)
+        _, rows = select_lag(make_panel(a, b), 3)
+        assert [row.lag for row in rows] == [0, 1, 2, 3]
 
     def test_negative_max_lag_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"^max_lag must be >= 0$"):
