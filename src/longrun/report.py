@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -376,9 +375,13 @@ def _render_csv(report: Report) -> str:
     return buf.getvalue()
 
 
+def _render_json(report: Report) -> str:
+    import json  # here, not at the top: a text or CSV run never loads it
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
 # Output format -> its renderer, in the order usage text lists the formats.
-RENDERERS = {"text": _render_text, "csv": _render_csv,
-             "json": lambda report: json.dumps(report.to_dict(), indent=2) + "\n"}
+RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
 
 
 def render(report: Report, output_format: str = "text") -> str:

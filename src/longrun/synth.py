@@ -1,17 +1,18 @@
 """Seeded synthetic processes for reproducible simulation tests.
 
 The generator is a fixed 64-bit linear congruential recurrence with Knuth's
-MMIX constants, advanced with exact integer arithmetic, so identical seeds
-produce identical streams on every platform.  Normals come from Box-Muller
-on consecutive uniform pairs (cosine branch first), which is slower than a
-table method but exactly specifiable.  This is a determinism tool for tests
-and demos, not a Monte-Carlo-grade source.
+MMIX constants, advanced in blocks by exact jump-ahead in wrapping uint64
+arithmetic, so identical seeds give identical uniforms on every platform.
+Normals come from Box-Muller on consecutive uniform pairs (cosine branch
+first) with libm's log, cos and sin: slower than a table method but exactly
+specifiable.  This is a determinism tool for tests and demos, not a
+Monte-Carlo-grade source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, log, pi, sin, sqrt
+from math import cos, log, pi, sin
 
 import numpy as np
 
@@ -38,25 +39,29 @@ class Rng:
     def __post_init__(self):
         self.state &= _MASK64
 
-    def uniform(self) -> float:
-        """Advance once and return state / 2**64, in [0, 1)."""
-        self.state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & _MASK64
-        return self.state * _U64_SCALE
-
-    def normal(self) -> float:
-        """Standard normal draw via Box-Muller on the next uniform pair."""
-        if self._spare is not None:
-            value = self._spare
-            self._spare = None
-            return value
-        u1 = max(self.uniform(), _MIN_UNIFORM)
-        u2 = self.uniform()
-        radius = sqrt(-2.0 * log(u1))
-        self._spare = radius * sin(2.0 * pi * u2)
-        return radius * cos(2.0 * pi * u2)
+    def uniforms(self, n: int) -> np.ndarray:
+        """Advance n steps; each new state / 2**64, rounded to nearest, in [0, 1]."""
+        powers = np.multiply.accumulate(np.full(n, LCG_MULTIPLIER, dtype=np.uint64))
+        sums = np.cumsum(powers) - powers + np.uint64(1)  # 1 + A + ... + A^(j-1)
+        states = powers * np.uint64(self.state) + np.uint64(LCG_INCREMENT) * sums
+        if n:
+            self.state = int(states[-1])
+        return states.astype(float) * _U64_SCALE
 
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)])
+        """n standard normals; an odd count's unused sine draw opens the next call.
+
+        Only sqrt, * and max, which IEEE rounds exactly, are vectorised; libm's
+        log, cos and sin are applied one value at a time.
+        """
+        head = [] if self._spare is None else [self._spare]
+        u = self.uniforms(2 * ((n - len(head) + 1) // 2))
+        logs = np.array(list(map(log, np.maximum(u[0::2], _MIN_UNIFORM).tolist())))
+        angle = ((2.0 * pi) * u[1::2]).tolist()
+        trig = np.array([list(map(cos, angle)), list(map(sin, angle))])
+        out = np.concatenate([head, (np.sqrt(-2.0 * logs) * trig).T.ravel()])
+        self._spare = float(out[n]) if len(out) > n else None
+        return out[:n]
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,9 @@ class ProcessSpec:
             if not self.coefficients:
                 raise InvalidSpec("var needs at least one coefficient matrix")
             mats = [np.asarray(a, dtype=float) for a in self.coefficients]
-            m = mats[0].shape[0] if mats[0].ndim == 2 else -1
-            for a in mats:
-                if a.ndim != 2 or a.shape != (m, m):
-                    raise InvalidSpec("var coefficient matrices must be square and equal-sized")
+            square = mats[0].shape[:1] * 2  # (m, m) for a first matrix of m rows
+            if any(a.ndim != 2 or a.shape != square for a in mats):
+                raise InvalidSpec("var coefficient matrices must be square and equal-sized")
         elif self.kind == "cointegrated_pair":
             if self.beta is None:
                 raise InvalidSpec("cointegrated_pair needs beta")
@@ -117,28 +121,22 @@ def generate(spec: ProcessSpec):
     if spec.kind == "random_walk":
         return Series("random_walk", START, np.cumsum(rng.normals(n)))
     if spec.kind == "ar1":
-        eps = rng.normals(n)
-        x = np.empty(n)
-        x[0] = eps[0]
+        x = rng.normals(n).tolist()
         for t in range(1, n):
-            x[t] = spec.phi * x[t - 1] + eps[t]
+            x[t] += spec.phi * x[t - 1]
         return Series("ar1", START, x)
     if spec.kind == "var":
         mats = [np.asarray(a, dtype=float) for a in spec.coefficients]
         m = mats[0].shape[0]
-        x = np.zeros((n, m))
+        x = rng.normals(n * m).reshape(n, m)
         for t in range(n):
-            acc = np.array([rng.normal() for _ in range(m)])
-            for j, a in enumerate(mats, start=1):
-                if t - j >= 0:
-                    acc = acc + a @ x[t - j]
-            x[t] = acc
+            for j, a in enumerate(mats[:t], start=1):
+                x[t] += a @ x[t - j]
         return Panel(tuple(f"y{i + 1}" for i in range(m)), START, x)
     # cointegrated_pair: x and y share the random-walk trend w, so y - beta*x
     # is stationary by construction.
-    w = np.cumsum(rng.normals(n))
-    eps = rng.normals(n)
-    eta = rng.normals(n)
+    w, eps, eta = rng.normals(3 * n).reshape(3, n)
+    w = np.cumsum(w)
     x = w + spec.noise_scale * eps
     y = spec.beta * w + spec.noise_scale * eta
     return Panel(("x", "y"), START, np.column_stack([x, y]))

@@ -50,7 +50,7 @@ def select_lag(panel: Panel, max_lag: int) -> tuple:
     if max_lag < 0:
         raise DomainError("max_lag must be >= 0")
     t = n - max_lag
-    if t <= m * max_lag + 1:
+    if t < m * max_lag + 1 + m:
         raise TooShort(f"panel of length {n} cannot compare lags up to {max_lag}")
     rows = []
     chosen, best = 0, math.inf

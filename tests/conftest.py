@@ -1,5 +1,7 @@
 """Shared helpers: independent oracles used across the test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def lcg_states(seed: int, n: int):
 
 def lcg_uniforms(seed: int, n: int):
     return [s / LCG_M for s in lcg_states(seed, n)]
+
+
+def box_muller_normals(seed: int, n: int):
+    """The first n normals of the stream, one Box-Muller pair at a time.
+
+    Each pair of ``lcg_uniforms`` (u1 floored at 2**-64) gives the cosine
+    draw, then the sine draw; this is the scalar recurrence the generator's
+    block path must reproduce bit for bit.
+    """
+    out = []
+    uniforms = lcg_uniforms(seed, 2 * ((n + 1) // 2))
+    for u1, u2 in zip(uniforms[0::2], uniforms[1::2]):
+        radius = math.sqrt(-2.0 * math.log(max(u1, 2.0 ** -64)))
+        out += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    return out[:n]
 
 
 def normal_eq_solve(X, y):

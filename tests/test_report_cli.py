@@ -612,13 +612,16 @@ class TestColdRunImports:
     def test_iso_pipeline_loads_neither_numpy_ma_nor_strptime(self, walks_csvs, tmp_path):
         # a fresh interpreter, so modules the test process already holds do not
         # count; scipy and mpmath are test-only oracles, never runtime imports,
-        # and longrun.synth serves only the synth subcommand
+        # and longrun.synth serves only the synth subcommand; json serves only
+        # the JSON renderer, so the probe reads sys.modules before importing it
         code = (
-            "import json, sys\n"
+            "import sys\n"
             "from longrun.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(json.dumps([code, [m for m in ('numpy.ma', '_strptime', 'scipy', 'mpmath',"
-            " 'longrun.synth') if m in sys.modules]]))\n"
+            "loaded = [m for m in ('numpy.ma', '_strptime', 'scipy', 'mpmath',"
+            " 'longrun.synth', 'json') if m in sys.modules]\n"
+            "import json\n"
+            "print(json.dumps([code, loaded]))\n"
         )
         src = str(Path(longrun.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

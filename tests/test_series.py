@@ -457,7 +457,7 @@ class TestAggregateMonthly:
         points = []
         per_month = {}
         for year, month, days in [(2013, 1, 31), (2013, 2, 28), (2013, 3, 31)]:
-            vals = [rng.normal() * 10.0 + 100.0 for _ in range(days)]
+            vals = (rng.normals(days) * 10.0 + 100.0).tolist()
             per_month[(year, month)] = sum(vals) / len(vals)
             points.extend((dt.date(year, month, d + 1), v) for d, v in enumerate(vals))
         series = aggregate_monthly(RawSeries("x", tuple(points)))
@@ -465,8 +465,7 @@ class TestAggregateMonthly:
         assert series.values == pytest.approx(expected, rel=1e-12)
 
     def test_mean_within_month_bounds(self):
-        rng = Rng(29)
-        vals = [rng.normal() for _ in range(20)]
+        vals = Rng(29).normals(20).tolist()
         points = tuple((dt.date(2014, 5, d + 1), v) for d, v in enumerate(vals))
         got = aggregate_monthly(RawSeries("x", points)).values[0]
         assert min(vals) <= got <= max(vals)

@@ -124,12 +124,21 @@ class TestSelectLag:
     def test_too_short_at_its_boundary_is_its_own_error(self):
         # t = n - max_lag = m max_lag + 1 leaves the widest design square; with m
         # more rows each equation of the widest VAR keeps m residual degrees of
-        # freedom, and every lag is compared
+        # freedom, its residual covariance can be nonsingular, and every lag is
+        # compared; one row fewer is too short
         a, b = Rng(1).normals(12), Rng(2).normals(12)
-        with pytest.raises(TooShort, match="^panel of length 10 cannot compare lags up to 3$"):
-            select_lag(make_panel(a[:10], b[:10]), 3)
+        with pytest.raises(TooShort, match="^panel of length 11 cannot compare lags up to 3$"):
+            select_lag(make_panel(a[:11], b[:11]), 3)
         _, rows = select_lag(make_panel(a, b), 3)
         assert [row.lag for row in rows] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_fewer_residual_dof_than_equations_is_too_short(self, seed):
+        # t = 8 rows and 7 regressors leave 1 < m residual degree of freedom, so
+        # the widest residual covariance is singular and its log det is rounding
+        panel = make_panel(Rng(seed).normals(11), Rng(seed + 10).normals(11))
+        with pytest.raises(TooShort, match="^panel of length 11 cannot compare lags up to 3$"):
+            select_lag(panel, 3)
 
     def test_negative_max_lag_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"^max_lag must be >= 0$"):
