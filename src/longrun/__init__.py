@@ -9,7 +9,7 @@ pairwise Granger causality.
 import importlib
 
 from .descriptive import SummaryStats, correlation, summarize
-from .distributions import chi2_ppf, chi2_sf, f_sf, norm_cdf
+from .distributions import chi2_sf, f_sf, norm_cdf
 from .granger import GrangerResult, granger_test, hypothesis_verdict
 from .johansen import JohansenResult, johansen_critical, johansen_test, rank_decision
 from .linalg import OlsFit, log_det, ols_fit
@@ -55,7 +55,6 @@ __all__ = [
     "adf_test",
     "aggregate_monthly",
     "align",
-    "chi2_ppf",
     "chi2_sf",
     "correlation",
     "diff",

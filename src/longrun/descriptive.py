@@ -10,12 +10,13 @@ hold simultaneously.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import chi2_sf
-from .errors import ConstantColumn, ConstantSeries, TooShort
+from .errors import ConstantColumn, ConstantSeries, DomainError, TooShort
 from .series import Panel, Series
 
 
@@ -63,27 +64,33 @@ def summarize(s: Series) -> SummaryStats:
     # second centering pass removes the rounding error of the mean itself,
     # which otherwise contaminates the odd moments when |mean| >> std
     centered = centered - centered.mean()
-    m2 = float(np.mean(centered ** 2))
+    # moments of z = centered / 2**e, which puts the largest |z| in [0.5, 1): exact,
+    # and no moment under- or overflows for the data's scale alone
+    e = int(np.frexp(np.max(np.abs(centered)))[1])
+    z = np.ldexp(centered, -e)
+    m2 = float(np.mean(z ** 2))
     if m2 == 0.0:
         raise ConstantSeries(f"series {s.name!r} is constant")
-    m3 = float(np.mean(centered ** 3))
-    m4 = float(np.mean(centered ** 4))
+    m3 = float(np.mean(z ** 3))
+    m4 = float(np.mean(z ** 4))
     skew = m3 / m2 ** 1.5
     kurt = m4 / m2 ** 2
     jb = jarque_bera(skew, kurt, n)
-    ssd = float(centered @ centered)
+    zz = float(z @ z)
+    if not sys.float_info.min_exp <= math.frexp(zz)[1] + 2 * e <= sys.float_info.max_exp:
+        raise DomainError(f"Sum Sq. Dev. of series {s.name!r} leaves the normal float range")
     return SummaryStats(
         mean=mean,
         median=_median(x),
         maximum=float(np.max(x)),
         minimum=float(np.min(x)),
-        std_dev=math.sqrt(ssd / (n - 1)),
+        std_dev=math.ldexp(math.sqrt(zz / (n - 1)), e),
         skewness=skew,
         kurtosis=kurt,
         jarque_bera=jb,
         jb_probability=chi2_sf(jb, 2),
         sum=float(np.sum(x)),
-        sum_sq_dev=ssd,
+        sum_sq_dev=math.ldexp(zz, 2 * e),
         observations=n,
     )
 
@@ -98,6 +105,7 @@ def correlation(p: Panel) -> np.ndarray:
         raise TooShort("need at least 3 observations for a correlation")
     centered = data - data.mean(axis=0)
     centered = centered - centered.mean(axis=0)
+    centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered), axis=0))[1])  # as in summarize
     norms = np.sqrt(np.sum(centered ** 2, axis=0))
     for j, nrm in enumerate(norms):
         if nrm == 0.0:

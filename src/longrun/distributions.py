@@ -126,36 +126,6 @@ def chi2_sf(x: float, df: int) -> float:
     return gamma_sf(df / 2.0, x / 2.0)
 
 
-def chi2_ppf(p: float, df: int) -> float:
-    """Quantile x with P(X <= x) = p for X ~ chi-square(df), by bisection."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must lie strictly between 0 and 1")
-    if df < 1:
-        raise DomainError("df must be >= 1")
-    # Below the median bisect on the lower tail P(df/2, x/2), so that a small p is not
-    # lost in the rounding of 1 - p; the bracket then stays under df + 2, where
-    # P's power series holds, as the median of chi-square(df) is below df.
-    q = 1.0 - p
-
-    def below(x):
-        return _gamma_series(df / 2.0, x / 2.0) < p if p < 0.5 else chi2_sf(x, df) > q
-
-    lo, hi = 0.0, float(max(df, 1))
-    while below(hi):
-        hi *= 2.0
-        if hi > 1e308:
-            raise DomainError("quantile out of range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def f_sf(f: float, d1: int, d2: int) -> float:
     """Upper-tail probability P(X > f) for X ~ F(d1, d2)."""
     if d1 < 1 or d2 < 1:

@@ -12,7 +12,7 @@ Monte-Carlo-grade source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, log, pi, sin
+from math import cos, isfinite, log, pi, sin
 
 import numpy as np
 
@@ -69,9 +69,9 @@ class ProcessSpec:
     """Recipe for one synthetic process.
 
     kind: white_noise | random_walk | ar1 | var | cointegrated_pair.
-    ar1 needs |phi| < 1; var needs square, equally sized coefficient
-    matrices; cointegrated_pair needs beta and uses noise_scale on both
-    idiosyncratic noise terms.
+    ar1 needs |phi| < 1; var needs square, equally sized, finite
+    coefficient matrices; cointegrated_pair needs a finite beta and uses the
+    positive, finite noise_scale on both idiosyncratic noise terms.
     """
 
     kind: str
@@ -81,27 +81,6 @@ class ProcessSpec:
     coefficients: tuple | None = None
     beta: float | None = None
     noise_scale: float = 1.0
-
-    def validate(self):
-        if self.length < 10:
-            raise InvalidSpec("length must be >= 10")
-        if self.kind == "ar1":
-            if self.phi is None or not abs(self.phi) < 1.0:
-                raise InvalidSpec("ar1 needs |phi| < 1")
-        elif self.kind == "var":
-            if not self.coefficients:
-                raise InvalidSpec("var needs at least one coefficient matrix")
-            mats = [np.asarray(a, dtype=float) for a in self.coefficients]
-            square = mats[0].shape[:1] * 2  # (m, m) for a first matrix of m rows
-            if any(a.ndim != 2 or a.shape != square for a in mats):
-                raise InvalidSpec("var coefficient matrices must be square and equal-sized")
-        elif self.kind == "cointegrated_pair":
-            if self.beta is None:
-                raise InvalidSpec("cointegrated_pair needs beta")
-            if self.noise_scale <= 0.0:
-                raise InvalidSpec("noise_scale must be positive")
-        elif self.kind not in ("white_noise", "random_walk"):
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
 
 
 def generate(spec: ProcessSpec):
@@ -113,7 +92,8 @@ def generate(spec: ProcessSpec):
     cointegrated_pair consumes the trend innovations first, then the x
     noise, then the y noise, each as a full-length block.
     """
-    spec.validate()
+    if spec.length < 10:
+        raise InvalidSpec("length must be >= 10")
     rng = Rng(spec.seed)
     n = spec.length
     if spec.kind == "white_noise":
@@ -121,22 +101,40 @@ def generate(spec: ProcessSpec):
     if spec.kind == "random_walk":
         return Series("random_walk", START, np.cumsum(rng.normals(n)))
     if spec.kind == "ar1":
+        if spec.phi is None or not abs(spec.phi) < 1.0:
+            raise InvalidSpec("ar1 needs |phi| < 1")
         x = rng.normals(n).tolist()
         for t in range(1, n):
             x[t] += spec.phi * x[t - 1]
         return Series("ar1", START, x)
     if spec.kind == "var":
-        mats = [np.asarray(a, dtype=float) for a in spec.coefficients]
-        m = mats[0].shape[0]
+        mats = [np.asarray(a, dtype=float) for a in spec.coefficients or ()]
+        if not mats:
+            raise InvalidSpec("var needs at least one coefficient matrix")
+        square = mats[0].shape[:1] * 2  # (m, m) for a first matrix of m rows
+        if any(a.ndim != 2 or a.shape != square for a in mats):
+            raise InvalidSpec("var coefficient matrices must be square and equal-sized")
+        if not np.isfinite(mats).all():
+            raise InvalidSpec("var coefficients must be finite")
+        m, _ = square
         x = rng.normals(n * m).reshape(n, m)
         for t in range(n):
             for j, a in enumerate(mats[:t], start=1):
                 x[t] += a @ x[t - j]
         return Panel(tuple(f"y{i + 1}" for i in range(m)), START, x)
-    # cointegrated_pair: x and y share the random-walk trend w, so y - beta*x
-    # is stationary by construction.
-    w, eps, eta = rng.normals(3 * n).reshape(3, n)
-    w = np.cumsum(w)
-    x = w + spec.noise_scale * eps
-    y = spec.beta * w + spec.noise_scale * eta
-    return Panel(("x", "y"), START, np.column_stack([x, y]))
+    if spec.kind == "cointegrated_pair":
+        if spec.beta is None:
+            raise InvalidSpec("cointegrated_pair needs beta")
+        if not isfinite(spec.beta):
+            raise InvalidSpec("beta must be finite")
+        if not isfinite(spec.noise_scale):
+            raise InvalidSpec("noise_scale must be finite")
+        if spec.noise_scale <= 0.0:
+            raise InvalidSpec("noise_scale must be positive")
+        # x and y share the random-walk trend w, so y - beta*x is stationary by construction.
+        w, eps, eta = rng.normals(3 * n).reshape(3, n)
+        w = np.cumsum(w)
+        x = w + spec.noise_scale * eps
+        y = spec.beta * w + spec.noise_scale * eta
+        return Panel(("x", "y"), START, np.column_stack([x, y]))
+    raise InvalidSpec(f"unknown kind {spec.kind!r}")

@@ -174,11 +174,10 @@ def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     y, widest, t_common = _df_design(x, case, max_lags)
     best_lag, best_sbc = 0, math.inf
     for lag in range(min(max_lags, len(x) - 1 - _MIN_OBS) + 1):
-        # the first columns of the widest design are the design with `lag` lags on
-        # the common sample; copied so each fit gets a fresh contiguous array
+        # the first k columns of the widest design are the design with `lag` lags
+        # on the common sample
         k = widest.shape[1] - max_lags + lag
-        X = widest[:, :k].copy()
-        fit = _fit(X, y)
+        fit = _fit(widest[:, :k], y)
         sbc = math.log(fit.ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc

@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from longrun.descriptive import correlation, jarque_bera, summarize
+from longrun.descriptive import SummaryStats, correlation, jarque_bera, summarize
 from longrun.distributions import chi2_sf
 from longrun.errors import ConstantColumn, ConstantSeries, DomainError, TooShort
-from longrun.series import Panel
+from longrun.series import Panel, Series
 from longrun.synth import ProcessSpec, Rng, generate
 
 from conftest import make_panel, make_series
@@ -149,3 +150,87 @@ class TestCorrelation:
         panel_data[row, col] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         with pytest.raises(DomainError, match=f"^non-finite value in series 'c{col}'$"):
             correlation(Panel(labels, (2000, 1), panel_data))
+
+
+def coint_pair():
+    return generate(ProcessSpec(kind="cointegrated_pair", length=120, seed=5, beta=2.0))
+
+
+def scaled_series(scale):
+    return Series("x", (2000, 1), coint_pair().data[:, 0] * scale)
+
+
+# Each statistic's power of the data's scale: a power-of-two scale multiplies
+# it by that power of the scale exactly, or summarize raises DomainError.
+SCALE_POWERS = {"mean": 1, "median": 1, "maximum": 1, "minimum": 1, "std_dev": 1,
+                "skewness": 0, "kurtosis": 0, "jarque_bera": 0, "jb_probability": 0,
+                "sum": 1, "sum_sq_dev": 2, "observations": 0}
+
+
+class TestExtremeScales:
+    """summarize and correlation take their moments on centered values divided by
+    the power of two nearest their largest magnitude, so the data's scale alone
+    neither overflows nor underflows them."""
+
+    def test_scale_powers_cover_every_field(self):
+        assert set(SCALE_POWERS) == {f.name for f in dataclasses.fields(SummaryStats)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-600, 600))
+    def test_power_of_two_scales_are_exact_or_a_domain_error(self, k):
+        base = summarize(scaled_series(1.0))
+        # the only statistic that can leave the normal range here is Sum Sq. Dev.
+        in_range = -1022 <= math.log2(base.sum_sq_dev) + 2 * k < 1024
+        try:
+            got = summarize(scaled_series(2.0 ** k))
+        except DomainError as exc:
+            assert not in_range
+            assert str(exc) == "Sum Sq. Dev. of series 'x' leaves the normal float range"
+            return
+        assert in_range
+        for name, power in SCALE_POWERS.items():
+            want = getattr(base, name)
+            if power:
+                want = math.ldexp(want, power * k)
+            assert getattr(got, name) == want, name
+
+    @given(st.integers(-600, 600), st.integers(-600, 600))
+    def test_correlation_is_exact_at_power_of_two_scales(self, j, k):
+        pair = coint_pair()
+        got = correlation(Panel(pair.labels, pair.start, pair.data * [2.0 ** j, 2.0 ** k]))
+        assert np.array_equal(got, correlation(pair))
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-80, 1e-100])
+    def test_decimal_scales_keep_the_scale_free_statistics(self, scale):
+        base, got = summarize(scaled_series(1.0)), summarize(scaled_series(scale))
+        # 1e-80 once gave kurtosis 1.8992843509892026 (a subnormal m4), 1e80 an
+        # OverflowError and 1e-100 a ZeroDivisionError
+        for name in ("skewness", "kurtosis", "jarque_bera", "jb_probability"):
+            assert getattr(got, name) == pytest.approx(getattr(base, name), rel=1e-13), name
+        assert got.std_dev == pytest.approx(base.std_dev * scale, rel=1e-13)
+        assert got.sum_sq_dev == pytest.approx(base.sum_sq_dev * scale ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
+    def test_sum_sq_dev_out_of_range_is_a_domain_error(self, scale):
+        # 1e160 once printed INF and nan; 1e-170 called a varying series constant
+        with pytest.raises(DomainError,
+                           match=r"^Sum Sq\. Dev\. of series 'x' leaves the normal float range$"):
+            summarize(scaled_series(scale))
+
+    @pytest.mark.parametrize("scale", [1e80, 1e160, 1e-100, 1e-170, 1e300, 1e-300])
+    def test_correlation_at_decimal_scales(self, scale):
+        pair = coint_pair()
+        got = correlation(Panel(pair.labels, pair.start, pair.data * [scale, 1.0]))
+        assert got[0, 1] == pytest.approx(correlation(pair)[0, 1], rel=1e-13)
+
+    @pytest.mark.parametrize("c, signs, ssd", [(2.0 ** 511, [1.0, -1.0, 0.0, 0.0], 2.0 ** 1023),
+                                               (2.0 ** -512, [1.0, -1.0, 1.0, -1.0], 2.0 ** -1022)])
+    def test_sum_sq_dev_at_the_edges_of_the_normal_range(self, c, signs, ssd):
+        # ssd in the top and in the bottom binade of the normal floats; doubling or
+        # halving c takes it out of the range
+        stats = summarize(Series("x", (2000, 1), np.multiply(signs, c)))
+        assert stats.sum_sq_dev == ssd
+        assert stats.std_dev == math.sqrt(ssd / 3)
+        beyond = 2.0 if ssd > 1.0 else 0.5
+        with pytest.raises(DomainError):
+            summarize(Series("x", (2000, 1), np.multiply(signs, c * beyond)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from longrun.distributions import betainc, chi2_ppf, chi2_sf, f_sf, gamma_sf, norm_cdf
+from longrun.distributions import betainc, chi2_sf, f_sf, gamma_sf, norm_cdf
 from longrun.errors import DomainError
 
 
@@ -48,34 +48,6 @@ class TestChi2:
             chi2_sf(-0.1, 2)
         with pytest.raises(DomainError, match=r"^df must be >= 1$"):
             chi2_sf(1.0, 0)
-
-
-class TestChi2Ppf:
-    def test_95th_percentile_df1(self):
-        assert chi2_ppf(0.95, 1) == pytest.approx(3.841466, abs=1e-5)
-
-    def test_median_df2(self):
-        assert chi2_ppf(0.5, 2) == pytest.approx(2.0 * math.log(2.0), abs=1e-6)
-
-    @pytest.mark.parametrize("df", [1, 2, 5, 10])
-    def test_round_trip(self, df):
-        for p in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
-            x = chi2_ppf(p, df)
-            assert chi2_sf(x, df) == pytest.approx(1.0 - p, abs=1e-9)
-
-    @pytest.mark.parametrize("p, df", [(1e-9, 1), (1e-6, 1), (1e-3, 2), (0.5, 1), (0.95, 1),
-                                       (0.999999, 3), (0.3, 1000), (1e-12, 1), (1e-12, 5),
-                                       (1e-9, 5), (1e-6, 5), (1e-12, 30), (1e-6, 30)])
-    def test_against_scipy(self, p, df):
-        # a bisection on 1 - p would leave about 1e-16 / p relative error at small p
-        assert chi2_ppf(p, df) == pytest.approx(stats.chi2.ppf(p, df), rel=1e-9, abs=0.0)
-
-    def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(DomainError, match=r"^p must lie strictly between 0 and 1$"):
-                chi2_ppf(bad, 2)
-        with pytest.raises(DomainError, match=r"^df must be >= 1$"):
-            chi2_ppf(0.5, 0)
 
 
 class TestFDistribution:

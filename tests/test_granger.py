@@ -135,8 +135,10 @@ class TestGrangerTest:
                 granger_test(causal_panel(length=3 * lag + 1, seed=1), lag=lag)
             forward, backward = granger_test(causal_panel(length=3 * lag + 2, seed=1), lag=lag)
             assert forward.df == backward.df == (lag, 1)
-        with pytest.raises(DomainError):
-            granger_test(causal_panel(length=50, seed=1), lag=0)
+        # the guard's own message: without it f_from_ssr raises a different DomainError
+        for lag in (0, -1):
+            with pytest.raises(DomainError, match=r"^lag must be >= 1$"):
+                granger_test(causal_panel(length=50, seed=1), lag=lag)
 
 
 class TestExactFit:

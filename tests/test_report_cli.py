@@ -428,6 +428,36 @@ class TestCli:
         assert capsys.readouterr().err == ("longrun: error [unit_root_adf]: DomainError: exact "
                                            "fit: the Dickey-Fuller regression has zero residuals\n")
 
+    @pytest.mark.parametrize("scale", [1e80, 1e-100, 1e160])
+    def test_summary_and_corr_at_extreme_scales(self, coint_csvs, tmp_path, capsys, scale):
+        # x times 1e80 once died of an OverflowError and x times 1e-100 of a
+        # ZeroDivisionError, each a traceback with exit 1; x times 1e160 printed INF/nan
+        rows = [row.split(",") for row in
+                Path(coint_csvs["x"]).read_text(encoding="utf-8").splitlines()]
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("".join(f"{day},{float(v) * scale!r}\n" for day, v in rows),
+                          encoding="utf-8")
+        capsys.readouterr()  # the fixture's synth output
+        for command in ("summary", "corr"):
+            assert main([command, *input_args(coint_csvs)]) == 0
+            base = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
+            code = main([command, "--input", f"x={scaled}", "--input", f"y={coint_csvs['y']}"])
+            out, err = capsys.readouterr()
+            if command == "summary" and scale == 1e160:
+                assert (code, out) == (2, "")
+                assert err == ("longrun: error [summary_statistics]: DomainError: Sum Sq. Dev. "
+                               "of series 'x' leaves the normal float range\n")
+                continue
+            assert (code, err) == (0, "")
+            got = {line.split()[0]: line.split() for line in out.splitlines()}
+            scale_free = ("Skewness", "Kurtosis", "Jarque-Bera", "Probability", "x", "y")
+            assert [got.get(row) for row in scale_free] == [base.get(row) for row in scale_free]
+
+    def test_non_finite_synth_parameter_is_a_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--kind", "coint", "--seed", "1", "--noise-scale", "nan",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "longrun: error: InvalidSpec: noise_scale must be finite\n"
+
     def test_repeated_input_name_exits_one(self, walks_csvs, capsys):
         code = main(["summary", "--input", f"a={walks_csvs['a']}",
                      "--input", f"a={walks_csvs['b']}", "--input", f"b={walks_csvs['b']}"])

@@ -259,6 +259,16 @@ class TestGenerate:
              "noise_scale must be positive"),
             ({"kind": "cointegrated_pair", "beta": 2.0, "noise_scale": -1.0},
              "noise_scale must be positive"),
+            ({"kind": "var", "coefficients": (((0.5, math.nan), (0.0, 0.5)),)},
+             "var coefficients must be finite"),
+            ({"kind": "var", "coefficients": (square, ((0.5, 0.0), (math.inf, 0.5)))},
+             "var coefficients must be finite"),
+            ({"kind": "cointegrated_pair", "beta": math.nan}, "beta must be finite"),
+            ({"kind": "cointegrated_pair", "beta": -math.inf}, "beta must be finite"),
+            ({"kind": "cointegrated_pair", "beta": 2.0, "noise_scale": math.nan},
+             "noise_scale must be finite"),
+            ({"kind": "cointegrated_pair", "beta": 2.0, "noise_scale": math.inf},
+             "noise_scale must be finite"),
             ({"kind": "brownian"}, "unknown kind 'brownian'"),
         ]:
             with pytest.raises(InvalidSpec, match=f"^{message}$"):
