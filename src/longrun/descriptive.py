@@ -53,21 +53,27 @@ def _median(x: np.ndarray) -> float:
     return float(np.mean(part[middle[0]:half + 1]))
 
 
+def _deviations(data: np.ndarray) -> tuple:
+    """(mean, z, e) of data along axis 0: z = centered / 2**e has its largest |z| in
+    [0.5, 1).  Each power-of-two scaling is exact, and no sum under- or overflows for the
+    data's scale alone.  A second centering pass removes the rounding error of the mean
+    itself, which otherwise contaminates the odd moments when |mean| >> std."""
+    s = np.frexp(np.max(np.abs(data), axis=0))[1]
+    scaled = np.ldexp(data, -s)
+    mean = scaled.mean(axis=0)
+    centered = scaled - mean
+    centered = centered - centered.mean(axis=0)
+    e = np.frexp(np.max(np.abs(centered), axis=0))[1]
+    return np.ldexp(mean, s), np.ldexp(centered, -e), e + s
+
+
 def summarize(s: Series) -> SummaryStats:
     """Full descriptive-statistics block for one monthly series."""
     x = np.asarray(s.values, dtype=float)
     n = len(x)
     if n < 4:
         raise TooShort("need at least 4 observations for kurtosis")
-    mean = float(np.mean(x))
-    centered = x - mean
-    # second centering pass removes the rounding error of the mean itself,
-    # which otherwise contaminates the odd moments when |mean| >> std
-    centered = centered - centered.mean()
-    # moments of z = centered / 2**e, which puts the largest |z| in [0.5, 1): exact,
-    # and no moment under- or overflows for the data's scale alone
-    e = int(np.frexp(np.max(np.abs(centered)))[1])
-    z = np.ldexp(centered, -e)
+    mean, z, e = _deviations(x)
     m2 = float(np.mean(z ** 2))
     if m2 == 0.0:
         raise ConstantSeries(f"series {s.name!r} is constant")
@@ -80,17 +86,17 @@ def summarize(s: Series) -> SummaryStats:
     if not sys.float_info.min_exp <= math.frexp(zz)[1] + 2 * e <= sys.float_info.max_exp:
         raise DomainError(f"Sum Sq. Dev. of series {s.name!r} leaves the normal float range")
     return SummaryStats(
-        mean=mean,
+        mean=float(mean),
         median=_median(x),
         maximum=float(np.max(x)),
         minimum=float(np.min(x)),
-        std_dev=math.ldexp(math.sqrt(zz / (n - 1)), e),
+        std_dev=float(np.ldexp(math.sqrt(zz / (n - 1)), e)),
         skewness=skew,
         kurtosis=kurt,
         jarque_bera=jb,
         jb_probability=chi2_sf(jb, 2),
         sum=float(np.sum(x)),
-        sum_sq_dev=math.ldexp(zz, 2 * e),
+        sum_sq_dev=float(np.ldexp(zz, 2 * e)),
         observations=n,
     )
 
@@ -103,9 +109,7 @@ def correlation(p: Panel) -> np.ndarray:
     data = p.data
     if len(p) < 3:
         raise TooShort("need at least 3 observations for a correlation")
-    centered = data - data.mean(axis=0)
-    centered = centered - centered.mean(axis=0)
-    centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered), axis=0))[1])  # as in summarize
+    _, centered, _ = _deviations(data)
     norms = np.sqrt(np.sum(centered ** 2, axis=0))
     for j, nrm in enumerate(norms):
         if nrm == 0.0:

@@ -24,7 +24,7 @@ def _max_iter(a: float) -> int:
 
 
 def _gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (0 < x < a + 1)."""
+    """P(a, x) by power series (0 < x < a + 1), without gamma_sf's prefactor."""
     ap = a
     term = 1.0 / a
     total = term
@@ -34,7 +34,7 @@ def _gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _TOL:
             break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
 
 def _nonzero(v: float) -> float:
@@ -51,7 +51,7 @@ def _lentz_step(an: float, bn: float, c: float, d: float) -> tuple:
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction (x >= a + 1)."""
+    """Q(a, x) by continued fraction (x >= a + 1), without gamma_sf's prefactor."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -62,7 +62,7 @@ def _gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _TOL:
             break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
+    return h
 
 
 def gamma_sf(a: float, x: float) -> float:
@@ -73,9 +73,10 @@ def gamma_sf(a: float, x: float) -> float:
         raise DomainError("x must be non-negative")
     if x == 0.0:
         return 1.0
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
+        return 1.0 - front * _gamma_series(a, x)
+    return front * _gamma_cf(a, x)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -132,8 +133,6 @@ def f_sf(f: float, d1: int, d2: int) -> float:
         raise DomainError("degrees of freedom must be >= 1")
     if f < 0.0:
         raise DomainError("F statistic must be non-negative")
-    if f == 0.0:
-        return 1.0
     return betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f))
 
 

@@ -43,7 +43,6 @@ class DuplicateDate(LongrunError):
 
     def __init__(self, date):
         super().__init__(f"duplicate date {date}")
-        self.date = date
 
 
 class EmptyFile(LongrunError):

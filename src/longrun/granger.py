@@ -8,7 +8,7 @@ import numpy as np
 
 from .distributions import f_sf
 from .errors import DimensionMismatch, DomainError
-from .linalg import _exact_fit, ols_fit
+from .linalg import _refuse_exact_fit, ols_fit
 from .series import Panel, lag_matrix
 
 VERDICT_H1 = "H1"  # first column drives the second
@@ -51,10 +51,8 @@ def _one_direction(cause: np.ndarray, effect: np.ndarray, labels: tuple, lag: in
     own = lag_matrix(effect, lag)
     cross = lag_matrix(cause, lag)
     const = np.ones((t_used, 1))
-    fit_u = ols_fit(np.hstack([const, own, cross]), y)
-    if _exact_fit(fit_u, y):  # its SSR is rounding noise, and so is any F built on it
-        raise DomainError(f"exact fit: the regression of {labels[1]} on the lags "
-                          "of both series has zero residuals")
+    fit_u = _refuse_exact_fit(ols_fit(np.hstack([const, own, cross]), y), y,
+                              f"the regression of {labels[1]} on the lags of both series")
     fit_r = ols_fit(np.hstack([const, own]), y)
     f_stat = f_from_ssr(fit_r.ssr, fit_u.ssr, lag, d2)
     return GrangerResult(

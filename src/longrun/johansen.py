@@ -28,16 +28,12 @@ from .series import Panel, lag_matrix
 
 CASE_CONSTANT = "constant"
 
-# MacKinnon-Haug-Michelis (1999) 5% asymptotic quantiles, unrestricted
-# intercept / no trend, indexed by m - r = 1..6.
-TRACE_CRIT_5PCT = (3.841466, 15.49471, 29.79707, 47.85613, 69.81889, 95.75366)
-MAXEIG_CRIT_5PCT = (3.841466, 14.26460, 21.13162, 27.58434, 33.87687, 40.07757)
-
-# Statistic kind -> (5% critical values, Gamma(shape, scale) fits), both indexed
-# by m - r.  Each gamma is fitted to the 90%/95% quantiles of its asymptotic
+# Statistic kind -> (MacKinnon-Haug-Michelis (1999) 5% asymptotic quantiles for the
+# unrestricted intercept / no trend case, Gamma(shape, scale) fits), both indexed
+# by m - r = 1..6.  Each gamma is fitted to the 90%/95% quantiles of its asymptotic
 # distribution (m - r = 1 is exactly chi-square(1) = Gamma(0.5, 2)).
 _TABLES = {
-    "trace": (TRACE_CRIT_5PCT, (
+    "trace": ((3.841466, 15.49471, 29.79707, 47.85613, 69.81889, 95.75366), (
         (0.5, 2.0),
         (4.4002416593, 1.8624180380),
         (11.0320385426, 1.7524757474),
@@ -45,7 +41,7 @@ _TABLES = {
         (32.3477330376, 1.6530669445),
         (46.6576015252, 1.6387240800),
     )),
-    "max_eigen": (MAXEIG_CRIT_5PCT, (
+    "max_eigen": ((3.841466, 14.26460, 21.13162, 27.58434, 33.87687, 40.07757), (
         (0.5, 2.0),
         (4.0328243217, 1.8287011590),
         (7.7833179128, 1.6423010791),

@@ -97,10 +97,12 @@ def ols_fit(X, y) -> OlsFit:
     return OlsFit(beta, resid, ssr, ssr / (T - k), R)
 
 
-def _exact_fit(fit: OlsFit, y: np.ndarray) -> bool:
-    """Whether the fit of y is exact or within rounding of exact, ssr <= (T eps)^2 y'y,
-    where its residuals, and any statistic built on them, are noise."""
-    return fit.ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y)
+def _refuse_exact_fit(fit: OlsFit, y: np.ndarray, what: str) -> OlsFit:
+    """The fit of y, or DomainError naming ``what`` when it is exact or within rounding of
+    exact, ssr <= (T eps)^2 y'y, where its residuals and any statistic on them are noise."""
+    if fit.ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
+        raise DomainError(f"exact fit: {what} has zero residuals")
+    return fit
 
 
 def _unscaled_covariance(fit: OlsFit) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import DomainError, TooShort, UnsupportedCase
-from .linalg import _exact_fit, _unscaled_covariance, ols_fit
+from .linalg import _refuse_exact_fit, _unscaled_covariance, ols_fit
 from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -150,11 +150,8 @@ def _df_design(x: np.ndarray, case: str, lags: int):
 
 def _fit(X: np.ndarray, y: np.ndarray):
     """OLS fit of a Dickey-Fuller regression, which has no t ratio when exact or
-    within rounding of exact (linalg._exact_fit), where its sign is noise."""
-    fit = ols_fit(X, y)
-    if _exact_fit(fit, y):
-        raise DomainError("exact fit: the Dickey-Fuller regression has zero residuals")
-    return fit
+    within rounding of exact (linalg._refuse_exact_fit), where its sign is noise."""
+    return _refuse_exact_fit(ols_fit(X, y), y, "the Dickey-Fuller regression")
 
 
 def _t_ratio_first(X: np.ndarray, y: np.ndarray):
@@ -242,9 +239,8 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
         raise DomainError("bandwidth must be >= 0")
     y, X, t_eff = _df_design(x, case, 0)
     fit, tau, se_rho = _t_ratio_first(X, y)
-    e = fit.residuals
-    gamma0 = float(e @ e) / t_eff
-    lam2 = long_run_variance(e, bandwidth)
+    gamma0 = fit.ssr / t_eff
+    lam2 = long_run_variance(fit.residuals, bandwidth)
     s_reg = math.sqrt(fit.sigma2)
     stat = math.sqrt(gamma0 / lam2) * tau - (lam2 - gamma0) * t_eff * se_rho / (
         2.0 * math.sqrt(lam2) * s_reg

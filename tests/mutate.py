@@ -1,12 +1,16 @@
 """Mutation testing of ``src/longrun`` with the stdlib ``ast`` module.
 
-A mutant changes one expression on a statement line that the tier-1 suite
-executes (as ``line_trace.py`` traces it), in one of three ways:
+A mutant changes one expression or statement on a statement line that the
+tier-1 suite executes (as ``line_trace.py`` traces it), in one of four ways:
 
 - a comparison operator is swapped (``<`` and ``<=``, ``>`` and ``>=``,
   ``==`` and ``!=``, ``is`` and ``is not``, ``in`` and ``not in``);
 - an arithmetic operator is swapped (``+`` and ``-``, ``*`` and ``/``);
-- a numeric constant gets 1 added to it.
+- a numeric constant gets 1 added to it;
+- an ``if``, ``for``, assignment, augmented assignment or expression
+  statement (a call, say) is replaced by ``pass``, its whole block with it.
+  A docstring is not a site.  A deleted statement that no test misses is
+  code that either needs a test or can go.
 
 Each mutant is written into a copy of the repository under a temporary
 directory, never into ``src/``, and tier-1 runs there with ``-x``, the
@@ -52,6 +56,7 @@ SWAPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
 }
+STATEMENTS = (ast.If, ast.For, ast.Assign, ast.AugAssign, ast.Expr)
 TIMEOUT = 300.0  # seconds per tier-1 run
 COPY_IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache")
 
@@ -71,19 +76,22 @@ def _skipped(tree: ast.AST) -> set:
 
 
 def _mutation(node: ast.AST):
-    """The mutations of one expression node: (description, mutated copy) pairs."""
+    """The mutations of one node: (description, source that replaces the node's span) pairs."""
     if isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
             swap = SWAPS[type(op)]
             ops = [*node.ops[:i], swap(), *node.ops[i + 1:]]
             yield (f"{SYMBOLS[type(op)]} -> {SYMBOLS[swap]}",
-                   ast.Compare(node.left, ops, node.comparators))
+                   f"({ast.unparse(ast.Compare(node.left, ops, node.comparators))})")
     elif isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
         swap = SWAPS[type(node.op)]
         yield (f"{SYMBOLS[type(node.op)]} -> {SYMBOLS[swap]}",
-               ast.BinOp(node.left, swap(), node.right))
+               f"({ast.unparse(ast.BinOp(node.left, swap(), node.right))})")
     elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        yield f"{node.value!r} -> {node.value + 1!r}", ast.Constant(node.value + 1)
+        yield f"{node.value!r} -> {node.value + 1!r}", f"({node.value + 1!r})"
+    elif isinstance(node, STATEMENTS) and not (
+            isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):  # a docstring
+        yield f"{type(node).__name__.lower()} statement -> pass", "pass"
 
 
 def mutants(path: Path, executed: set) -> list:
@@ -98,11 +106,11 @@ def mutants(path: Path, executed: set) -> list:
     for node in ast.walk(tree):
         if id(node) in skipped or getattr(node, "lineno", None) not in executed:
             continue
-        for description, mutated in _mutation(node):
+        for description, replacement in _mutation(node):
             # offsets are in UTF-8 bytes; src/longrun is ASCII, where they are characters
             begin = starts[node.lineno - 1] + node.col_offset
             end = starts[node.end_lineno - 1] + node.end_col_offset
-            text = source[:begin] + f"({ast.unparse(mutated)})" + source[end:]
+            text = source[:begin] + replacement + source[end:]
             out.append((path.stem, node.lineno, description, text))
     return out
 

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -234,3 +236,75 @@ class TestExtremeScales:
         beyond = 2.0 if ssd > 1.0 else 0.5
         with pytest.raises(DomainError):
             summarize(Series("x", (2000, 1), np.multiply(signs, c * beyond)))
+
+
+def _normal_scales(column: np.ndarray) -> tuple:
+    """The range of k for which every nonzero value of column times 2**k is a
+    normal float: the smallest magnitude stays at or above 2**-1022 and the
+    largest at or below the float maximum."""
+    nonzero = np.abs(column[column != 0.0])
+    return (sys.float_info.min_exp - np.frexp(nonzero.min())[1],
+            sys.float_info.max_exp - np.frexp(nonzero.max())[1])
+
+
+normal_values = st.floats(-1e6, 1e6, allow_subnormal=False).filter(lambda v: v != 0.0)
+
+
+class TestScalesUpToTheFloatMaximum:
+    """The data is divided by the power of two of its largest magnitude before its
+    mean is taken, so a scale near the float maximum cannot overflow the mean;
+    each property also holds with every warning raised as an error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(3, 30), st.integers(2, 4))
+    def test_correlation_is_bit_identical_under_per_column_scales(self, data, t, m):
+        base = np.array(data.draw(st.lists(normal_values, min_size=t * m, max_size=t * m)))
+        base = base.reshape(t, m)
+        assume((np.ptp(base, axis=0) > 0).all())
+        ks = []
+        for j in range(m):
+            low, high = _normal_scales(base[:, j])
+            ks.append(data.draw(st.integers(low, high) | st.just(high)))  # high: the float maximum
+        labels = tuple(f"c{j}" for j in range(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = correlation(Panel(labels, (2000, 1), base))
+            got = correlation(Panel(labels, (2000, 1), np.ldexp(base, ks)))
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(4, 30))
+    def test_summarize_scales_exactly_or_raises_a_domain_error(self, data, t):
+        x = np.array(data.draw(st.lists(normal_values, min_size=t, max_size=t)))
+        assume(np.ptp(x) > 0)
+        low, high = _normal_scales(x)
+        k = data.draw(st.integers(low, high) | st.just(high))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                base = summarize(Series("x", (2000, 1), x))
+            except DomainError:
+                assume(False)
+            ssd_exponent = math.frexp(base.sum_sq_dev)[1] + 2 * k
+            in_range = sys.float_info.min_exp <= ssd_exponent <= sys.float_info.max_exp
+            try:
+                got = summarize(Series("x", (2000, 1), np.ldexp(x, k)))
+            except DomainError as exc:
+                assert not in_range
+                assert str(exc) == "Sum Sq. Dev. of series 'x' leaves the normal float range"
+                return
+        assert in_range
+        for name, power in SCALE_POWERS.items():
+            want = getattr(base, name)
+            if power:
+                want = math.ldexp(want, power * k)
+            assert getattr(got, name) == want, name
+
+    def test_a_series_near_the_float_maximum(self):
+        # once: mean and sum inf and every moment nan; the correlation nan
+        x = [1e308, 1e308, 1e308, 9e307]
+        with pytest.raises(DomainError, match=r"^Sum Sq\. Dev\. of series 'x' leaves"):
+            summarize(Series("x", (2000, 1), x))
+        corr = correlation(make_panel(x, [1.0, 2.0, 4.0, 3.0]))
+        assert corr[0, 1] == correlation(make_panel(np.ldexp(x, -1000), [1.0, 2.0, 4.0, 3.0]))[0, 1]
+        assert -1.0 <= corr[0, 1] <= 1.0

@@ -35,6 +35,14 @@ class TestOlsFit:
         assert fit.coefficients == pytest.approx([3.0])
         assert fit.ssr == pytest.approx(0.0, abs=1e-20)
 
+    def test_nested_lists_and_integer_arrays(self):
+        want = ols_fit(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.array([1.0, 2.0, 4.0]))
+        X, y = [[1, 0], [1, 1], [1, 2]], [1, 2, 4]
+        for got in (ols_fit(X, y), ols_fit(np.array(X), np.array(y))):
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert np.array_equal(got.residuals, want.residuals)
+            assert (got.ssr, got.sigma2) == (want.ssr, want.sigma2)
+
     def test_exact_line(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         fit = ols_fit(X, np.array([1.0, 3.0, 5.0]))
@@ -214,6 +222,11 @@ class TestCanonicalCorrelations:
 class TestLogDet:
     def test_identity(self):
         assert log_det(np.eye(3)) == pytest.approx(0.0, abs=1e-14)
+
+    def test_nested_lists_and_integer_arrays(self):
+        M = [[2, 1], [1, 2]]
+        assert log_det(M) == log_det(np.array(M)) == log_det(np.array(M, dtype=float))
+        assert log_det(M) == pytest.approx(math.log(3.0), rel=1e-15)
 
     def test_diag_exponentials(self):
         assert log_det(np.diag([math.e, math.e ** 2])) == pytest.approx(3.0, rel=1e-12)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -452,6 +453,28 @@ class TestCli:
             got = {line.split()[0]: line.split() for line in out.splitlines()}
             scale_free = ("Skewness", "Kurtosis", "Jarque-Bera", "Probability", "x", "y")
             assert [got.get(row) for row in scale_free] == [base.get(row) for row in scale_free]
+
+    def test_summary_and_corr_of_a_series_near_the_float_maximum(self, tmp_path, capsys):
+        # once: summary printed INF for Mean, Median and Sum and nan for every
+        # moment, corr printed nan, and both exited 0
+        rng = np.random.default_rng(44)
+        x = 1.7e308 * (1.0 - 0.05 * rng.random(24))
+        months = [f"{2000 + i // 12}-{i % 12 + 1:02d}-01" for i in range(24)]
+        paths = {}
+        for name, values in (("x", x), ("small", np.ldexp(x, -1000)),
+                             ("y", 100.0 + np.cumsum(rng.standard_normal(24)))):
+            paths[name] = tmp_path / f"{name}.csv"
+            rows = "".join(f"{day},{float(v)!r}\n" for day, v in zip(months, values))
+            paths[name].write_text(rows, encoding="utf-8")
+        near_max = ["--input", f"x={paths['x']}", "--input", f"y={paths['y']}"]
+        assert main(["summary", *near_max]) == 2
+        assert capsys.readouterr() == ("", "longrun: error [summary_statistics]: DomainError: Sum "
+                                           "Sq. Dev. of series 'x' leaves the normal float range\n")
+        assert main(["corr", *near_max]) == 0
+        got = capsys.readouterr().out
+        assert main(["corr", "--input", f"x={paths['small']}", "--input", f"y={paths['y']}"]) == 0
+        assert got == capsys.readouterr().out  # x / 2**1000 gives the same bits
+        assert "nan" not in got
 
     def test_non_finite_synth_parameter_is_a_data_error(self, tmp_path, capsys):
         assert main(["synth", "--kind", "coint", "--seed", "1", "--noise-scale", "nan",

@@ -125,6 +125,7 @@ class TestLoadCsv:
         (["2010-09-01,1", "2010-09-02,{long}"], 2, "field larger than field limit ({limit})"),
         (["2010-09-01,1", "", "2010-09-02,{long}"], 3, "field larger than field limit ({limit})"),
         (["2010-09-01,1", "2010-09-02,x", "2010-09-03,{long}"], 2, "bad value 'x'"),
+        (["2010-09-01,{long}", "2010-09-02,1"], 1, "field larger than field limit ({limit})"),
     ])
     def test_field_over_the_csv_limit_is_a_parse_error_on_its_record(self, tmp_path, lines,
                                                                      line, message):
@@ -151,6 +152,12 @@ class TestLoadCsv:
         save_csv(first, out)
         second = load_csv(out)
         assert second.points == first.points
+
+    def test_str_paths(self, tmp_path):
+        raw = load_csv(write_csv(tmp_path / "in.csv", ["2010-09-01,1.5", "2010-09-02,2"]))
+        out = str(tmp_path / "out.csv")
+        save_csv(raw, out)
+        assert load_csv(out) == RawSeries("out", raw.points)
 
     def test_year_below_1000_written_zero_padded(self, tmp_path):
         out = tmp_path / "early.csv"

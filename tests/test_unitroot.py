@@ -99,6 +99,10 @@ class TestMacKinnonPvalue:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_unsupported_case(self):
+        with pytest.raises(UnsupportedCase):
+            mackinnon_pvalue(-2.0, "bogus")
+
 
 class TestAdf:
     def test_random_walk_keeps_unit_root_seed8(self):
@@ -136,6 +140,16 @@ class TestAdf:
                 adf_test(walk(8, n=n))
         assert fits == []
 
+    @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
+    def test_up_to_five_points_is_the_critical_value_error(self, fits, case):
+        # below 4 points plus one per deterministic term the lag cap is negative,
+        # so only the floor checked before the search keeps this a TooShort
+        for n in range(6):
+            with pytest.raises(TooShort, match=r"^critical-value surface needs an effective "
+                                               r"sample of at least 20$"):
+                adf_test(walk(8).values[:n], case=case)
+        assert fits == []
+
     @pytest.mark.parametrize("test, n", [(lambda s: adf_test(s, lags=2), 22),
                                          (lambda s: adf_test(s, lags=0), 20), (pp_test, 20)],
                              ids=["adf 2 lags", "adf 0 lags", "pp"])
@@ -167,6 +181,14 @@ class TestAdf:
             r = adf_test(walk(seed, 200))
             expected = "stationary" if r.statistic < r.critical_values["5%"] else "unit_root"
             assert r.decision_5pct == expected
+
+    def test_a_statistic_equal_to_the_5pct_critical_value_keeps_the_unit_root(self):
+        # the unit root is rejected only strictly below the critical value
+        crit = mackinnon_critical("constant", "5%", 100)
+        for stat, decision in ((crit, "unit_root"),
+                               (math.nextafter(crit, -math.inf), "stationary")):
+            result = unitroot._finish("adf", stat, "constant", 0, 100, {"5%": crit})
+            assert result.decision_5pct == decision
 
     def test_auto_lags_bounded_and_reported(self):
         r = adf_test(walk(8, 120))
@@ -333,6 +355,10 @@ class TestPhillipsPerron:
     def test_too_short(self):
         with pytest.raises(TooShort):
             pp_test(make_series(np.arange(10.0)))
+
+    def test_unsupported_case(self):
+        with pytest.raises(UnsupportedCase):
+            pp_test(walk(8, n=30), case="bogus")
 
     def test_negative_bandwidth_is_a_domain_error(self, fits):
         # checked before the regression, so a flat series under case "none",
