@@ -86,15 +86,19 @@ def _solve(X, y, Q, R):
     return beta, y - X @ beta
 
 
-def ols_fit(X, y) -> OlsFit:
-    """Fit y = X b by least squares on the QR factors of a design checked by _factor."""
-    if np.ndim(y) != 1:
-        raise DimensionMismatch("X must be 2-D and y 1-D")
-    X, y, Q, R = _factor(X, y)
+def _fit_factored(X, y, Q, R) -> OlsFit:
+    """The least-squares fit of one response y from the QR factors of X; checks nothing."""
     T, k = X.shape
     beta, resid = _solve(X, y, Q, R)
     ssr = float(resid @ resid)
     return OlsFit(beta, resid, ssr, ssr / (T - k), R)
+
+
+def ols_fit(X, y) -> OlsFit:
+    """Fit y = X b by least squares on the QR factors of a design checked by _factor."""
+    if np.ndim(y) != 1:
+        raise DimensionMismatch("X must be 2-D and y 1-D")
+    return _fit_factored(*_factor(X, y))
 
 
 def _refuse_exact_fit(fit: OlsFit, y: np.ndarray, what: str) -> OlsFit:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from longrun.errors import (
@@ -147,6 +147,40 @@ class TestRankCertificate:
             with pytest.raises(RankDeficient) as info:
                 _factor(X, y)
             assert str(info.value) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10_000), extra=st.integers(1, 300),
+           columns=st.lists(st.tuples(
+               st.sampled_from(["walk", "noise", "ones", "near copy"]),
+               st.sampled_from([1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])),
+               min_size=1, max_size=9),
+           tie=st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-4]))
+    def test_a_design_that_passes_passes_in_every_column_prefix(self, seed, extra, columns, tie):
+        # the ADF lag search checks only its widest design: by interlacing, no column
+        # prefix has a smaller singular-value ratio than the whole design
+        rng = np.random.default_rng(seed)
+        t = len(columns) + extra
+        cols = []
+        for kind, scale in columns:
+            if kind == "near copy" and cols:
+                base = cols[rng.integers(len(cols))]
+                col = base + tie * np.abs(base).max() * rng.standard_normal(t)
+            elif kind == "ones":
+                col = np.ones(t)
+            else:
+                col = rng.standard_normal(t)
+                col = np.cumsum(col) if kind == "walk" else col
+            cols.append(scale * col)
+        X, y = np.column_stack(cols), rng.standard_normal(t)
+        sv = np.linalg.svd(X, compute_uv=False)
+        # within rounding of RANK_RTOL the computed ratios of X and a prefix may cross it
+        assume(not abs(sv[-1] / sv[0] / RANK_RTOL - 1.0) < 0.01)
+        try:
+            _factor(X, y)
+        except RankDeficient:
+            return
+        for k in range(1, X.shape[1]):
+            _factor(X[:, :k], y)
 
     def test_only_an_uncertified_design_pays_for_the_svd_of_x(self, monkeypatch):
         shapes = []

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from longrun import unitroot
-from longrun.errors import DomainError, TooShort, UnsupportedCase
+from longrun.errors import DomainError, LongrunError, RankDeficient, TooShort, UnsupportedCase
 from longrun.linalg import ols_fit
 from longrun.series import diff
 from longrun.synth import ProcessSpec, Rng, generate
 from longrun.unitroot import (
+    CASES,
     _df_design,
     _t_ratio_first,
     adf_test,
@@ -26,17 +27,28 @@ def walk(seed, n=500):
     return generate(ProcessSpec(kind="random_walk", length=n, seed=seed))
 
 
+def recorder(monkeypatch, name):
+    """The input shapes of the ``np.linalg.<name>`` calls made while the test runs."""
+    shapes, original = [], getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
+
+
 @pytest.fixture
 def fits(monkeypatch):
-    """The design shapes of the ``ols_fit`` calls unitroot makes while the test runs."""
-    shapes, ols_fit = [], unitroot.ols_fit
+    """The shapes of the designs factorized (``np.linalg.qr`` calls) while the test runs."""
+    return recorder(monkeypatch, "qr")
 
-    def counting_fit(X, y):
-        shapes.append(X.shape)
-        return ols_fit(X, y)
 
-    monkeypatch.setattr(unitroot, "ols_fit", counting_fit)
-    return shapes
+@pytest.fixture
+def svds(monkeypatch):
+    """The shapes of the ``np.linalg.svd`` inputs while the test runs."""
+    return recorder(monkeypatch, "svd")
 
 
 class TestMacKinnonCritical:
@@ -259,8 +271,24 @@ class TestAdf:
 
     def test_at_22_points_the_search_fits_two_designs_on_the_common_sample(self, fits):
         adf_test(walk(8, n=22), case="constant")
-        assert fits[:2] == [(13, 2), (13, 3)]
+        assert sorted(fits[:2]) == [(13, 2), (13, 3)]
         assert len(fits) == 3
+
+    # Schwert's cap is 8 lags at n = 22, 12 at 120, 17 at 500 and 25 at 2000; the search
+    # scores lags 0..min(cap, n - 21), each design x_{t-1}, the deterministic terms, the lags
+    @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
+    @pytest.mark.parametrize("n, cap", [(22, 8), (120, 12), (500, 17), (2000, 25)])
+    def test_one_rank_certificate_per_search_and_one_per_final_regression(self, svds, fits,
+                                                                          case, n, cap):
+        base = 1 + CASES.index(case)
+        result = adf_test(walk(8, n=n), case=case)
+        width = base + min(cap, n - 21)
+        final = base + result.lags_or_bandwidth
+        assert svds == [(width, width), (final, final)]
+        assert len(fits) == min(cap, n - 21) + 2  # one QR per scored lag, one final
+        svds.clear()
+        adf_test(walk(8, n=n), case=case, lags=0)
+        assert svds == [(base, base)]
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -311,6 +339,108 @@ class TestExactFit:
     def test_a_fit_within_rounding_is_exact(self, test, line):
         with pytest.raises(DomainError, match="exact fit"):
             test(make_series(line))
+
+
+def per_prefix_search(x, case, max_lags):
+    """The lag search before one rank check covered it, kept as the differential oracle:
+    every column prefix of the widest design through ols_fit's checks, in lag order."""
+    y, widest, t_common = _df_design(x, case, max_lags)
+    best_lag, best_sbc = 0, math.inf
+    for lag in range(min(max_lags, len(x) - 21) + 1):
+        k = widest.shape[1] - max_lags + lag
+        fit = unitroot._unless_exact(ols_fit(widest[:, :k], y), y)
+        sbc = math.log(fit.ssr / t_common) + k * math.log(t_common) / t_common
+        if sbc < best_sbc:
+            best_lag, best_sbc = lag, sbc
+    return best_lag
+
+
+def outcome(monkeypatch, x, case, search=None):
+    """(repr of adf_test's result, or the type and message it raises; the bytes of every
+    fit it judges for an exact fit), with ``search`` in place of the lag search if given."""
+    judged, judge = [], unitroot._unless_exact
+
+    def recording(fit, y):
+        judged.append((fit.coefficients.tobytes(), fit.residuals.tobytes(), fit.ssr.hex(),
+                       fit.sigma2.hex(), fit._r.tobytes()))
+        return judge(fit, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(unitroot, "_unless_exact", recording)
+        if search is not None:
+            patch.setattr(unitroot, "_select_lags", search)
+        try:
+            got = repr(adf_test(x, case=case))
+        except LongrunError as exc:
+            got = (type(exc), str(exc))
+    return got, judged
+
+
+def search_corpus():
+    """Seeded walks, AR(1), cointegrated and causal series: two seeds up to 120 points, then one."""
+    causal = (((0.0, 0.0), (0.8, 0.0)),)
+    for n in (*range(21, 31), 60, 120, 500, 2000):
+        for seed in (1, 2) if n <= 120 else (1,):
+            yield generate(ProcessSpec(kind="random_walk", length=n, seed=seed)).values
+            yield generate(ProcessSpec(kind="ar1", length=n, seed=seed, phi=0.5)).values
+            pair = ProcessSpec(kind="cointegrated_pair", length=n, seed=seed, beta=2.0)
+            yield from generate(pair).data.T
+            yield from generate(ProcessSpec(kind="var", length=n, seed=seed,
+                                            coefficients=causal)).data.T
+
+
+class TestOneCertificateSearch:
+    """The search checks its widest design once and each narrower prefix not at all; every
+    answer, error and fit must be the per-prefix search's, bit for bit."""
+
+    # 2^40 puts a walk's level about 1e12 times its constant column, so some designs
+    # fail the rank check and the search falls back to checking each prefix
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 40], ids=["1", "2^-30", "2^40"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_result_and_fits_as_the_per_prefix_search(self, monkeypatch, case, scale):
+        raised = 0
+        for x in search_corpus():
+            got = outcome(monkeypatch, scale * x, case)
+            assert got == outcome(monkeypatch, scale * x, case, per_prefix_search), (len(x), case)
+            raised += isinstance(got[0], tuple)
+        if scale == 1.0:
+            assert raised == 0
+        if scale == 2.0 ** 40 and case != "none":
+            assert raised > 100
+
+    def test_a_flat_series_under_none_is_an_exact_fit_at_lag_zero(self, monkeypatch):
+        x = np.full(120, 3.5)
+        got, judged = outcome(monkeypatch, x, "none")
+        assert (got, judged) == outcome(monkeypatch, x, "none", per_prefix_search)
+        assert got == (DomainError, "exact fit: the Dickey-Fuller regression has zero residuals")
+        assert len(judged) == 1
+
+    # dx alternates 1, 2 but for its last value, which only the response sees: lag columns
+    # j and j + 2 repeat and j, j + 1 sum to 3, while no fit is exact; with a trend, x_{t-1}
+    # is 1.5 t plus a zigzag that dx_{t-1} spans, so lag 1 is the first collinear design
+    @pytest.mark.parametrize("case, lag", [("none", 3), ("constant", 2), ("constant_trend", 1)])
+    def test_collinear_lagged_differences_raise_at_the_first_collinear_lag(self, monkeypatch,
+                                                                           case, lag):
+        dx = np.tile([1.0, 2.0], 60)
+        dx[-1] = 5.0
+        x = np.concatenate([[0.0], np.cumsum(dx)])
+        got, judged = outcome(monkeypatch, x, case)
+        assert (got, judged) == outcome(monkeypatch, x, case, per_prefix_search)
+        assert got[0] is RankDeficient and len(judged) == lag
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n", [25, 60, 500])
+    def test_a_value_only_the_widest_lag_column_sees(self, monkeypatch, bad, case, n):
+        # x[cap - top] enters only the first row of the widest scored lag column
+        cap = min(unitroot.default_max_lags(n), (n - 2 - CASES.index(case)) // 2 - 1)
+        top = min(cap, n - 21)
+        x = walk(3, n).values.copy()
+        x[cap - top] = bad
+        got, judged = outcome(monkeypatch, x, case)
+        assert (got, judged) == outcome(monkeypatch, x, case, per_prefix_search)
+        assert got == (DomainError, "non-finite values in regression inputs")
+        assert len(judged) == top
 
 
 class TestPhillipsPerron:
