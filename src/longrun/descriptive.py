@@ -20,7 +20,7 @@ from .errors import ConstantColumn, ConstantSeries, DomainError, TooShort
 from .series import Panel, Series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryStats:
     mean: float
     median: float

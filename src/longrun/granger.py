@@ -17,7 +17,7 @@ VERDICT_H3 = "H3"  # bilateral
 VERDICT_NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GrangerResult:
     direction: tuple  # (cause label, effect label)
     lag: int
@@ -51,10 +51,9 @@ def _one_direction(cause: np.ndarray, effect: np.ndarray, labels: tuple, lag: in
     own = lag_matrix(effect, lag)
     cross = lag_matrix(cause, lag)
     const = np.ones((t_used, 1))
-    fit_u = _refuse_exact_fit(ols_fit(np.hstack([const, own, cross]), y), y,
+    ssr_u = _refuse_exact_fit(ols_fit(np.hstack([const, own, cross]), y).ssr, y,
                               f"the regression of {labels[1]} on the lags of both series")
-    fit_r = ols_fit(np.hstack([const, own]), y)
-    f_stat = f_from_ssr(fit_r.ssr, fit_u.ssr, lag, d2)
+    f_stat = f_from_ssr(ols_fit(np.hstack([const, own]), y).ssr, ssr_u, lag, d2)
     return GrangerResult(
         direction=labels,
         lag=lag,

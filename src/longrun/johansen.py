@@ -54,7 +54,7 @@ _TABLES = {
 NO_COINTEGRATION = "No Co Integration"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JohansenResult:
     eigenvalues: np.ndarray  # descending, in [0, 1)
     eigenvectors: np.ndarray  # column j pairs with eigenvalues[j]

@@ -86,27 +86,24 @@ def _solve(X, y, Q, R):
     return beta, y - X @ beta
 
 
-def _fit_factored(X, y, Q, R) -> OlsFit:
-    """The least-squares fit of one response y from the QR factors of X; checks nothing."""
+def ols_fit(X, y) -> OlsFit:
+    """Fit y = X b by least squares on the QR factors of a design checked by _factor."""
+    if np.ndim(y) != 1:
+        raise DimensionMismatch("X must be 2-D and y 1-D")
+    X, y, Q, R = _factor(X, y)
     T, k = X.shape
     beta, resid = _solve(X, y, Q, R)
     ssr = float(resid @ resid)
     return OlsFit(beta, resid, ssr, ssr / (T - k), R)
 
 
-def ols_fit(X, y) -> OlsFit:
-    """Fit y = X b by least squares on the QR factors of a design checked by _factor."""
-    if np.ndim(y) != 1:
-        raise DimensionMismatch("X must be 2-D and y 1-D")
-    return _fit_factored(*_factor(X, y))
-
-
-def _refuse_exact_fit(fit: OlsFit, y: np.ndarray, what: str) -> OlsFit:
-    """The fit of y, or DomainError naming ``what`` when it is exact or within rounding of
-    exact, ssr <= (T eps)^2 y'y, where its residuals and any statistic on them are noise."""
-    if fit.ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
+def _refuse_exact_fit(ssr: float, y: np.ndarray, what: str) -> float:
+    """The SSR of a fit of y, or DomainError naming ``what`` when the fit is exact or within
+    rounding of exact, ssr <= (T eps)^2 y'y, where its residuals and any statistic on them are
+    noise."""
+    if ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
         raise DomainError(f"exact fit: {what} has zero residuals")
-    return fit
+    return ssr
 
 
 def _unscaled_covariance(fit: OlsFit) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import DomainError, LongrunError, TooShort, UnsupportedCase
-from .linalg import _factor, _fit_factored, _refuse_exact_fit, _unscaled_covariance, ols_fit
+from .linalg import _factor, _refuse_exact_fit, _unscaled_covariance, ols_fit
 from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -65,7 +65,7 @@ _PVAL_SURFACE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitRootResult:
     test_kind: str  # "adf" | "pp"
     statistic: float
@@ -148,14 +148,15 @@ def _df_design(x: np.ndarray, case: str, lags: int):
     return dx[lags:], X, t_eff
 
 
-def _unless_exact(fit, y: np.ndarray):
-    """The fit of a Dickey-Fuller regression, which has no t ratio when exact or
+def _unless_exact(ssr: float, y: np.ndarray) -> float:
+    """The SSR of a Dickey-Fuller regression, which has no t ratio when exact or
     within rounding of exact (linalg._refuse_exact_fit), where its sign is noise."""
-    return _refuse_exact_fit(fit, y, "the Dickey-Fuller regression")
+    return _refuse_exact_fit(ssr, y, "the Dickey-Fuller regression")
 
 
 def _t_ratio_first(X: np.ndarray, y: np.ndarray):
-    fit = _unless_exact(ols_fit(X, y), y)
+    fit = ols_fit(X, y)
+    _unless_exact(fit.ssr, y)
     cov = _unscaled_covariance(fit)
     se0 = math.sqrt(fit.sigma2 * cov[0, 0])
     return fit, fit.coefficients[0] / se0, se0
@@ -169,24 +170,25 @@ def default_max_lags(n: int) -> int:
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows.
     Each design is a column prefix of the widest, and by interlacing none has a worse singular-
-    value ratio: _factor checks the widest alone or, when it fails, each prefix in lag order."""
+    value ratio: _factor checks the widest alone or, when it fails, each prefix in lag order.
+    A lag is scored by its SSR alone, read from the R factor of [X y] with no fit built."""
     y, design, t_common = _df_design(x, case, max_lags)
     top = min(max_lags, len(x) - 1 - _MIN_OBS)
     base = design.shape[1] - max_lags  # x_{t-1} and the deterministic terms
     try:
-        widest = _fit_factored(*_factor(design[:, :base + top], y))
+        _factor(design[:, :base + top], y)
     except LongrunError:
-        widest = None
+        for lag in range(top):  # a narrower prefix may fail first; the widest fails as above
+            _unless_exact(ols_fit(design[:, :base + lag], y).ssr, y)
+        raise
     best_lag, best_sbc = 0, math.inf
     for lag in range(top + 1):
         k = base + lag
-        X = design[:, :k]  # the design with `lag` lags on the common sample
-        if widest is None:
-            fit = ols_fit(X, y)
-        else:
-            fit = widest if lag == top else _fit_factored(X, y, *np.linalg.qr(X))
-        _unless_exact(fit, y)
-        sbc = math.log(fit.ssr / t_common) + k * math.log(t_common) / t_common
+        # the R factor of [X_k y] ends in the residual norm of y on the design with `lag`
+        # lags (Golub & Van Loan, Matrix Computations, 5.3): its square is the SSR
+        r = np.linalg.qr(np.column_stack([design[:, :k], y]), mode="r")
+        ssr = _unless_exact(float(r[k, k]) ** 2, y)
+        sbc = math.log(ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc
     return best_lag

@@ -14,7 +14,7 @@ from .series import Panel, lag_matrix
 LN_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LagSelectionRow:
     lag: int
     aic: float

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from longrun import unitroot
 from longrun.errors import (
     DimensionMismatch,
     DomainError,
@@ -16,6 +17,7 @@ from longrun.errors import (
 from longrun.linalg import (
     RANK_RTOL,
     _factor,
+    _refuse_exact_fit,
     _unscaled_covariance,
     canonical_correlations,
     log_det,
@@ -204,6 +206,77 @@ class TestRankCertificate:
         near = np.column_stack([np.ones(200), a, a + 1e-10 * rng.standard_normal(200)])
         _factor(near, rng.standard_normal(200))
         assert shapes == [(3, 3), (200, 3)]
+
+
+def r_corner_ssr(X, y) -> float:
+    """The SSR of y on X as the ADF lag search scores it: the last diagonal entry of the R
+    factor of [X y], squared."""
+    k = X.shape[1]
+    return float(np.linalg.qr(np.column_stack([X, y]), mode="r")[k, k]) ** 2
+
+
+class TestExactFitFloor:
+    """_refuse_exact_fit judges an SSR, here one read from the R corner of [X y], against
+    ssr <= (T eps)^2 y'y."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_y_in_the_span_of_a_full_rank_x_is_adfs_exact_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(200), rng.standard_normal((200, 4))])
+        y = X @ rng.standard_normal(5)
+        _factor(X, y)  # full rank
+        with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression has "
+                                              r"zero residuals$"):
+            unitroot._unless_exact(r_corner_ssr(X, y), y)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("t", [40, 200, 2000])
+    def test_an_ssr_just_above_the_floor_passes(self, seed, t):
+        # y = X b + d e with e orthogonal to X, sized so the SSR is twice the floor
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(t), rng.standard_normal((t, 3))])
+        Q, _ = np.linalg.qr(X)
+        z = rng.standard_normal(t)
+        e = z - Q @ (Q.T @ z)
+        fitted = X @ rng.standard_normal(4)
+        floor = (t * np.finfo(float).eps) ** 2 * float(fitted @ fitted)
+        y = fitted + math.sqrt(2.0 * floor / float(e @ e)) * e
+        ssr = r_corner_ssr(X, y)
+        assert ssr == pytest.approx(2.0 * floor, rel=1e-2)
+        assert _refuse_exact_fit(ssr, y, "this fit") == ssr
+        # the rule itself: the floor raises, the next float up passes
+        floor = (t * np.finfo(float).eps) ** 2 * float(y @ y)
+        with pytest.raises(DomainError, match=r"^exact fit: this fit has zero residuals$"):
+            _refuse_exact_fit(floor, y, "this fit")
+        assert _refuse_exact_fit(math.nextafter(floor, math.inf), y, "this fit") > floor
+
+    @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
+    def test_the_search_refuses_an_exact_prefix_of_a_certified_design(self, monkeypatch, case):
+        # from x[8] on x halves each step, so on the common sample of 8 lags (n = 25) dx_t
+        # is exactly -x_{t-1} / 2, while the earlier walk keeps the lag columns independent:
+        # the widest design passes its one check and lag 0 fits exactly
+        walk = np.cumsum(np.random.default_rng(0).standard_normal(8))
+        x = np.concatenate([walk, 1024.0 * 0.5 ** np.arange(17)])
+        fits = []
+        monkeypatch.setattr(unitroot, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
+        with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression"):
+            adf_test(x, case=case)
+        assert fits == []  # scored from the R corner alone, not by the fallback's fits
+
+    # a flat series under "none" has zero lag columns and a straight line constant
+    # ones: the widest design fails its check, so each prefix is fitted in lag order
+    @pytest.mark.parametrize("x, case", [(np.full(120, 3.5), "none"),
+                                         (np.arange(1.0, 121.0), "none"),
+                                         (np.arange(1.0, 121.0), "constant"),
+                                         (3.0 * np.arange(1.0, 121.0) + 7.0, "constant")],
+                             ids=["flat", "x none", "x constant", "3x+7 constant"])
+    def test_flat_and_straight_line_searches_refuse_through_the_fallback(self, monkeypatch,
+                                                                         x, case):
+        fits = []
+        monkeypatch.setattr(unitroot, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
+        with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression"):
+            adf_test(x, case=case)
+        assert fits
 
 
 def _walk_block(seed: int, t: int, p: int) -> np.ndarray:

@@ -3,14 +3,18 @@
 ``__getattr__``), README's Library example, run as written, and the result
 fields the benchmark's reference outputs record."""
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import longrun
@@ -68,3 +72,38 @@ def test_result_fields_match_the_benchmark_refs():
     }
     for cls, record in recorded.items():
         assert {f.name for f in dataclasses.fields(cls)} == set(record), cls.__name__
+
+
+def _records():
+    """One of each result record, from a seeded cointegrated pair (T = 200)."""
+    from longrun.synth import ProcessSpec, generate
+
+    panel = generate(ProcessSpec(kind="cointegrated_pair", length=200, seed=5, beta=2.0))
+    series = longrun.Series("x", panel.start, panel.data[:, 0])
+    return [longrun.summarize(series), longrun.adf_test(series),
+            longrun.select_lag(panel, 3)[1][0], longrun.granger_test(panel, 2)[0],
+            longrun.johansen_test(panel, 1)]
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_result_records_are_slotted_and_still_copy_pickle_and_replace(record):
+    # slots keep each record's fields without a per-instance __dict__ (or weakref slot)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(record)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, dataclasses.fields(record)[0].name, None)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record),
+                 dataclasses.replace(record)):
+        assert _same(twin, record)
+    last = dataclasses.fields(record)[-1].name
+    changed = dataclasses.replace(record, **{last: "other"})
+    assert getattr(changed, last) == "other" != getattr(record, last)
+    plain = dataclasses.asdict(record)
+    assert list(plain) == [f.name for f in dataclasses.fields(record)]
+    assert all(np.array_equal(plain[name], getattr(record, name)) for name in plain)

@@ -265,14 +265,17 @@ class TestAdf:
     @pytest.mark.parametrize("case, search_rows", [("none", 12), ("constant", 12),
                                                    ("constant_trend", 13)])
     def test_at_21_points_the_search_fits_lag_zero_only(self, fits, case, search_rows):
+        # the lag-0 design is checked once, then scored from the R factor of [X y]
+        base = 1 + CASES.index(case)
         result = adf_test(walk(8, n=21), case=case)
         assert result.lags_or_bandwidth == 0
-        assert [rows for rows, _ in fits] == [search_rows, 20]
+        assert fits == [(search_rows, base), (search_rows, base + 1), (20, base)]
 
     def test_at_22_points_the_search_fits_two_designs_on_the_common_sample(self, fits):
+        # the widest (lag 1) design is checked, then lags 0 and 1 are scored with y appended
         adf_test(walk(8, n=22), case="constant")
-        assert sorted(fits[:2]) == [(13, 2), (13, 3)]
-        assert len(fits) == 3
+        assert fits[:3] == [(13, 3), (13, 3), (13, 4)]
+        assert len(fits) == 4
 
     # Schwert's cap is 8 lags at n = 22, 12 at 120, 17 at 500 and 25 at 2000; the search
     # scores lags 0..min(cap, n - 21), each design x_{t-1}, the deterministic terms, the lags
@@ -280,15 +283,28 @@ class TestAdf:
     @pytest.mark.parametrize("n, cap", [(22, 8), (120, 12), (500, 17), (2000, 25)])
     def test_one_rank_certificate_per_search_and_one_per_final_regression(self, svds, fits,
                                                                           case, n, cap):
-        base = 1 + CASES.index(case)
+        base, top, rows = 1 + CASES.index(case), min(cap, n - 21), n - 1 - cap
         result = adf_test(walk(8, n=n), case=case)
-        width = base + min(cap, n - 21)
         final = base + result.lags_or_bandwidth
-        assert svds == [(width, width), (final, final)]
-        assert len(fits) == min(cap, n - 21) + 2  # one QR per scored lag, one final
+        assert svds == [(base + top, base + top), (final, final)]
+        # one _factor of the widest design, one QR of [X y] per scored lag, one final
+        assert fits == [(rows, base + top), *[(rows, base + lag + 1) for lag in range(top + 1)],
+                        (n - 1 - result.lags_or_bandwidth, final)]
         svds.clear()
         adf_test(walk(8, n=n), case=case, lags=0)
         assert svds == [(base, base)]
+
+    def test_schwerts_cap_at_and_just_below_its_whole_values(self):
+        # 12 (n / 100)^(1/4) is exactly 12 at n = 100 and 24 at n = 1600
+        caps = {n: unitroot.default_max_lags(n) for n in (99, 100, 120, 500, 1599, 1600, 2000)}
+        assert caps == {99: 11, 100: 12, 120: 12, 500: 17, 1599: 23, 1600: 24, 2000: 25}
+
+    def test_size_of_the_auto_lag_test_on_driftless_walks(self):
+        # under the null the 5% rule rejects 5% of the time: 2,000 walks of T = 100 give a
+        # standard error of 0.49 points, and the rate must fall within 4 of them
+        walks = np.cumsum(np.random.default_rng(0).standard_normal((2000, 100)), axis=1)
+        rate = np.mean([adf_test(w).decision_5pct == "stationary" for w in walks])
+        assert abs(rate - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / 2000)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -342,28 +358,27 @@ class TestExactFit:
 
 
 def per_prefix_search(x, case, max_lags):
-    """The lag search before one rank check covered it, kept as the differential oracle:
-    every column prefix of the widest design through ols_fit's checks, in lag order."""
+    """The lag search of every column prefix of the widest design through ols_fit's checks,
+    in lag order, scored by each fit's own SSR: the differential oracle."""
     y, widest, t_common = _df_design(x, case, max_lags)
     best_lag, best_sbc = 0, math.inf
     for lag in range(min(max_lags, len(x) - 21) + 1):
         k = widest.shape[1] - max_lags + lag
-        fit = unitroot._unless_exact(ols_fit(widest[:, :k], y), y)
-        sbc = math.log(fit.ssr / t_common) + k * math.log(t_common) / t_common
+        ssr = unitroot._unless_exact(ols_fit(widest[:, :k], y).ssr, y)
+        sbc = math.log(ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc
     return best_lag
 
 
 def outcome(monkeypatch, x, case, search=None):
-    """(repr of adf_test's result, or the type and message it raises; the bytes of every
-    fit it judges for an exact fit), with ``search`` in place of the lag search if given."""
+    """(repr of adf_test's result, or the type and message it raises; every SSR it judges
+    for an exact fit), with ``search`` in place of the lag search if given."""
     judged, judge = [], unitroot._unless_exact
 
-    def recording(fit, y):
-        judged.append((fit.coefficients.tobytes(), fit.residuals.tobytes(), fit.ssr.hex(),
-                       fit.sigma2.hex(), fit._r.tobytes()))
-        return judge(fit, y)
+    def recording(ssr, y):
+        judged.append(ssr)
+        return judge(ssr, y)
 
     with monkeypatch.context() as patch:
         patch.setattr(unitroot, "_unless_exact", recording)
@@ -373,6 +388,19 @@ def outcome(monkeypatch, x, case, search=None):
             got = repr(adf_test(x, case=case))
         except LongrunError as exc:
             got = (type(exc), str(exc))
+    return got, judged
+
+
+def same_outcome(monkeypatch, x, case):
+    """adf_test's outcome, checked against the per-prefix search's: the same result or error,
+    the same number of SSRs judged, each within 1e-13 of the oracle's (the R corner and a
+    residual vector round differently) and the final regression's bit for bit."""
+    got, judged = outcome(monkeypatch, x, case)
+    want, oracle = outcome(monkeypatch, x, case, per_prefix_search)
+    assert got == want, (len(x), case)
+    assert judged == pytest.approx(oracle, rel=1e-13, abs=0.0), (len(x), case)
+    if not isinstance(got, tuple):
+        assert judged[-1].hex() == oracle[-1].hex()
     return got, judged
 
 
@@ -390,8 +418,8 @@ def search_corpus():
 
 
 class TestOneCertificateSearch:
-    """The search checks its widest design once and each narrower prefix not at all; every
-    answer, error and fit must be the per-prefix search's, bit for bit."""
+    """The search checks its widest design once and scores each lag from the R factor of
+    [X y]; every answer and error must be the per-prefix search's."""
 
     # 2^40 puts a walk's level about 1e12 times its constant column, so some designs
     # fail the rank check and the search falls back to checking each prefix
@@ -400,18 +428,15 @@ class TestOneCertificateSearch:
     def test_same_result_and_fits_as_the_per_prefix_search(self, monkeypatch, case, scale):
         raised = 0
         for x in search_corpus():
-            got = outcome(monkeypatch, scale * x, case)
-            assert got == outcome(monkeypatch, scale * x, case, per_prefix_search), (len(x), case)
-            raised += isinstance(got[0], tuple)
+            got, _ = same_outcome(monkeypatch, scale * x, case)
+            raised += isinstance(got, tuple)
         if scale == 1.0:
             assert raised == 0
         if scale == 2.0 ** 40 and case != "none":
             assert raised > 100
 
     def test_a_flat_series_under_none_is_an_exact_fit_at_lag_zero(self, monkeypatch):
-        x = np.full(120, 3.5)
-        got, judged = outcome(monkeypatch, x, "none")
-        assert (got, judged) == outcome(monkeypatch, x, "none", per_prefix_search)
+        got, judged = same_outcome(monkeypatch, np.full(120, 3.5), "none")
         assert got == (DomainError, "exact fit: the Dickey-Fuller regression has zero residuals")
         assert len(judged) == 1
 
@@ -424,8 +449,7 @@ class TestOneCertificateSearch:
         dx = np.tile([1.0, 2.0], 60)
         dx[-1] = 5.0
         x = np.concatenate([[0.0], np.cumsum(dx)])
-        got, judged = outcome(monkeypatch, x, case)
-        assert (got, judged) == outcome(monkeypatch, x, case, per_prefix_search)
+        got, judged = same_outcome(monkeypatch, x, case)
         assert got[0] is RankDeficient and len(judged) == lag
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -437,8 +461,7 @@ class TestOneCertificateSearch:
         top = min(cap, n - 21)
         x = walk(3, n).values.copy()
         x[cap - top] = bad
-        got, judged = outcome(monkeypatch, x, case)
-        assert (got, judged) == outcome(monkeypatch, x, case, per_prefix_search)
+        got, judged = same_outcome(monkeypatch, x, case)
         assert got == (DomainError, "non-finite values in regression inputs")
         assert len(judged) == top
 
