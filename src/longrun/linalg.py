@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, RankDeficient, TooShort
 
-# Columns whose smallest/largest singular value ratio falls below this are
+# Columns whose smallest/largest singular value ratio is at most this are
 # treated as numerically dependent.
 RANK_RTOL = 1e-12
 
@@ -48,15 +48,9 @@ class OlsFit:
     _r: np.ndarray = field(default=None, repr=False, compare=False)
 
 
-def _factor(X, y):
-    """Check a least-squares problem and factor its design once.
-
-    ``y`` is one response (1-D) or a T x r block of responses sharing X.
-    Returns float arrays X and y and the reduced QR factors Q, R of X.
-    Requires T > k and a full-column-rank X (relative singular-value
-    threshold 1e-12); raises DimensionMismatch, DomainError, TooShort or
-    RankDeficient.  The SVD of X runs only when R cannot certify the rank.
-    """
+def _checked(X, y):
+    """Float X and y (1-D, or T x r responses sharing X), finite and with T > k >= 1; raises
+    DimensionMismatch, DomainError or TooShort."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim not in (1, 2):
@@ -70,13 +64,25 @@ def _factor(X, y):
         raise DimensionMismatch("X needs at least one column")
     if T <= k:
         raise TooShort(f"need more observations ({T}) than regressors ({k})")
-    Q, R = np.linalg.qr(X)
+    return X, y
+
+
+def _certify(R, X):
+    """RankDeficient unless X has full column rank (singular-value ratio above 1e-12), judged
+    from any Householder R of X; the SVD of X runs only when R cannot certify the rank."""
     sv = np.linalg.svd(R, compute_uv=False)
     if not sv[-1] > RANK_CERTIFY_RTOL * sv[0]:
         sv = np.linalg.svd(X, compute_uv=False)
         ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
         if ratio <= RANK_RTOL:
             raise RankDeficient(f"design matrix is numerically singular (sv ratio {ratio:.2e})")
+
+
+def _factor(X, y):
+    """The _checked X and y and the reduced QR factors Q, R of X, with X's rank certified."""
+    X, y = _checked(X, y)
+    Q, R = np.linalg.qr(X)
+    _certify(R, X)
     return X, y, Q, R
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import DomainError, LongrunError, TooShort, UnsupportedCase
-from .linalg import _factor, _refuse_exact_fit, _unscaled_covariance, ols_fit
+from .linalg import _certify, _checked, _refuse_exact_fit, _unscaled_covariance, ols_fit
 from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -170,24 +170,28 @@ def default_max_lags(n: int) -> int:
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows.
     Each design is a column prefix of the widest, and by interlacing none has a worse singular-
-    value ratio: _factor checks the widest alone or, when it fails, each prefix in lag order.
-    A lag is scored by its SSR alone, read from the R factor of [X y] with no fit built."""
+    value ratio: the widest alone is checked and certified from the R of [X_top y] or, when it
+    fails, each prefix in lag order.  A lag is scored by its SSR alone, with no fit built."""
     y, design, t_common = _df_design(x, case, max_lags)
     top = min(max_lags, len(x) - 1 - _MIN_OBS)
     base = design.shape[1] - max_lags  # x_{t-1} and the deterministic terms
     try:
-        _factor(design[:, :base + top], y)
+        X_top, y = _checked(design[:, :base + top], y)
+        widest = np.linalg.qr(np.column_stack([X_top, y]), mode="raw")[0].T
+        _certify(np.triu(widest[:base + top, :base + top]), X_top)  # raw keeps reflectors below
     except LongrunError:
         for lag in range(top):  # a narrower prefix may fail first; the widest fails as above
             _unless_exact(ols_fit(design[:, :base + lag], y).ssr, y)
         raise
+    r_top = widest[base + top, base + top]
+    widest = None  # one QR buffer at a time: holding the widest through the loop raises peak RSS
     best_lag, best_sbc = 0, math.inf
     for lag in range(top + 1):
         k = base + lag
-        # the R factor of [X_k y] ends in the residual norm of y on the design with `lag`
-        # lags (Golub & Van Loan, Matrix Computations, 5.3): its square is the SSR
-        r = np.linalg.qr(np.column_stack([design[:, :k], y]), mode="r")
-        ssr = _unless_exact(float(r[k, k]) ** 2, y)
+        # R's corner, on LAPACK's raw diagonal, is y's residual norm (Golub & Van Loan, 5.3)
+        r = r_top if lag == top else np.linalg.qr(np.column_stack([design[:, :k], y]),
+                                                  mode="raw")[0][k, k]
+        ssr = _unless_exact(float(r) ** 2, y)
         sbc = math.log(ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc

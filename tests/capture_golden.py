@@ -4,8 +4,9 @@ Each case runs ``longrun.cli.main`` in-process on seeded paper-scale (T=120)
 ``synth`` inputs and records the SHA-256 of its exit code, stdout and stderr,
 plus any file the run writes, with the scratch directory's path replaced by
 ``<tmp>``.  ``test_golden.py`` recomputes every hash and compares it with
-``golden_manifest.json``.  The numpy and BLAS builds are recorded with the
-hashes, because their rounding is part of every printed digit.
+``golden_manifest.json``.  The numpy and BLAS builds, and the BLAS kernel
+running them, are recorded with the hashes, because their rounding is part of
+every printed digit.
 
 Rewrite the manifest only at a commit whose reports are known good:
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -68,8 +70,23 @@ def blas_version() -> str:
         return "unknown"
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on this CPU: a DYNAMIC_ARCH build picks one at
+    load time (``OPENBLAS_CORETYPE`` overrides it), and kernels round differently."""
+    here = Path(numpy.__file__).parent  # wheels bundle it in numpy.libs, or .dylibs on macOS
+    for path in sorted([*here.parent.glob("numpy.libs/*openblas*"),
+                        *here.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode("ascii")
+    return "unknown"
+
+
 def versions() -> dict:
-    return {"numpy": numpy.__version__, "blas": blas_version()}
+    return {"numpy": numpy.__version__, "blas": blas_version(), "blas_kernel": blas_kernel()}
 
 
 def _inputs(root: Path, name: str) -> list:
@@ -214,4 +231,4 @@ if __name__ == "__main__":
         manifest = compute(Path(tmp).resolve())
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     sys.stdout.write(f"{MANIFEST}: {len(manifest['cases'])} cases, numpy {manifest['numpy']}, "
-                     f"{manifest['blas']}\n")
+                     f"{manifest['blas']} ({manifest['blas_kernel']})\n")

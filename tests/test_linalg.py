@@ -10,12 +10,15 @@ from longrun import unitroot
 from longrun.errors import (
     DimensionMismatch,
     DomainError,
+    LongrunError,
     NotPositiveDefinite,
     RankDeficient,
     TooShort,
 )
 from longrun.linalg import (
     RANK_RTOL,
+    _certify,
+    _checked,
     _factor,
     _refuse_exact_fit,
     _unscaled_covariance,
@@ -102,9 +105,10 @@ class TestOlsFit:
         with pytest.raises(RankDeficient):
             ols_fit(X, np.ones(10))
 
-    def test_all_zero_design_is_rank_deficient(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_all_zero_design_is_rank_deficient(self, k):
         with pytest.raises(RankDeficient, match=r"\(sv ratio 0\.00e\+00\)$"):
-            ols_fit(np.zeros((10, 2)), np.ones(10))
+            ols_fit(np.zeros((10, k)), np.ones(10))
 
     def test_one_dimensional_x_is_a_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -123,6 +127,42 @@ def _svd_of_x_rule(X):
     ratio = sv[-1] / sv[0] if sv[0] > 0.0 else 0.0
     if ratio <= RANK_RTOL:
         return f"design matrix is numerically singular (sv ratio {ratio:.2e})"
+    return None
+
+
+def mixed_design(rng, t, columns, tie):
+    """A T x k design of (kind, scale) columns: a walk, noise, ones, or a near copy of an
+    earlier column, off by ``tie`` times its largest magnitude in noise."""
+    cols = []
+    for kind, scale in columns:
+        if kind == "near copy" and cols:
+            base = cols[rng.integers(len(cols))]
+            col = base + tie * np.abs(base).max() * rng.standard_normal(t)
+        elif kind == "ones":
+            col = np.ones(t)
+        else:
+            col = rng.standard_normal(t)
+            col = np.cumsum(col) if kind == "walk" else col
+        cols.append(scale * col)
+    return np.column_stack(cols)
+
+
+def certify_from_raw_qr(X, y):
+    """The ADF lag search's check of its widest design: _checked, then _certify on the upper
+    triangle of the leading k x k block of the raw QR of [X y] (raw keeps the Householder
+    vectors below the diagonal)."""
+    X, y = _checked(X, y)
+    k = X.shape[1]
+    H = np.linalg.qr(np.column_stack([X, y]), mode="raw")[0].T
+    _certify(np.triu(H[:k, :k]), X)
+
+
+def rank_outcome(check, X, y):
+    """None when ``check(X, y)`` passes, else the type and message it raises."""
+    try:
+        check(X, y)
+    except LongrunError as exc:
+        return type(exc), str(exc)
     return None
 
 
@@ -162,18 +202,7 @@ class TestRankCertificate:
         # prefix has a smaller singular-value ratio than the whole design
         rng = np.random.default_rng(seed)
         t = len(columns) + extra
-        cols = []
-        for kind, scale in columns:
-            if kind == "near copy" and cols:
-                base = cols[rng.integers(len(cols))]
-                col = base + tie * np.abs(base).max() * rng.standard_normal(t)
-            elif kind == "ones":
-                col = np.ones(t)
-            else:
-                col = rng.standard_normal(t)
-                col = np.cumsum(col) if kind == "walk" else col
-            cols.append(scale * col)
-        X, y = np.column_stack(cols), rng.standard_normal(t)
+        X, y = mixed_design(rng, t, columns, tie), rng.standard_normal(t)
         sv = np.linalg.svd(X, compute_uv=False)
         # within rounding of RANK_RTOL the computed ratios of X and a prefix may cross it
         assume(not abs(sv[-1] / sv[0] / RANK_RTOL - 1.0) < 0.01)
@@ -183,6 +212,29 @@ class TestRankCertificate:
             return
         for k in range(1, X.shape[1]):
             _factor(X[:, :k], y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10_000), t=st.integers(3, 200),
+           columns=st.lists(st.tuples(
+               st.sampled_from(["walk", "noise", "ones", "near copy"]),
+               st.sampled_from([1.0, 2.0 ** -30, 2.0 ** 20, 2.0 ** 45, 2.0 ** 60,
+                                1e-3, 1e3, 1e9, 1e17])),
+               min_size=1, max_size=12),
+           tie=st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-4]))
+    def test_the_raw_qr_of_x_and_y_certifies_as_factor_does(self, seed, t, columns, tie):
+        # the ADF lag search certifies its widest design from the leading k x k block of
+        # LAPACK's raw QR of [X y], whose R lies on and above the diagonal: it must raise
+        # exactly when _factor does, with the same message (both fall back to the SVD of X)
+        rng = np.random.default_rng(seed)
+        X, y = mixed_design(rng, t, columns[:t - 1], tie), rng.standard_normal(t)
+        assert rank_outcome(_factor, X, y) == rank_outcome(certify_from_raw_qr, X, y)
+
+    def test_a_ratio_of_exactly_rank_rtol_is_rank_deficient(self):
+        # orthogonal columns of norms 1 and s: the SVD of X returns exactly 1 and s
+        y = np.ones(3)
+        with pytest.raises(RankDeficient, match=r"\(sv ratio 1\.00e-12\)$"):
+            _factor(np.array([[1.0, 0.0], [0.0, RANK_RTOL], [0.0, 0.0]]), y)
+        _factor(np.array([[1.0, 0.0], [0.0, math.nextafter(RANK_RTOL, 1.0)], [0.0, 0.0]]), y)
 
     def test_only_an_uncertified_design_pays_for_the_svd_of_x(self, monkeypatch):
         shapes = []

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -265,17 +266,18 @@ class TestAdf:
     @pytest.mark.parametrize("case, search_rows", [("none", 12), ("constant", 12),
                                                    ("constant_trend", 13)])
     def test_at_21_points_the_search_fits_lag_zero_only(self, fits, case, search_rows):
-        # the lag-0 design is checked once, then scored from the R factor of [X y]
+        # the lag-0 design is checked, then certified and scored from one QR of [X y]
         base = 1 + CASES.index(case)
         result = adf_test(walk(8, n=21), case=case)
         assert result.lags_or_bandwidth == 0
-        assert fits == [(search_rows, base), (search_rows, base + 1), (20, base)]
+        assert fits == [(search_rows, base + 1), (20, base)]
 
     def test_at_22_points_the_search_fits_two_designs_on_the_common_sample(self, fits):
-        # the widest (lag 1) design is checked, then lags 0 and 1 are scored with y appended
+        # the widest (lag 1) design is certified and scored from one QR with y appended,
+        # then lag 0 is scored from its own
         adf_test(walk(8, n=22), case="constant")
-        assert fits[:3] == [(13, 3), (13, 3), (13, 4)]
-        assert len(fits) == 4
+        assert fits[:2] == [(13, 4), (13, 3)]
+        assert len(fits) == 3
 
     # Schwert's cap is 8 lags at n = 22, 12 at 120, 17 at 500 and 25 at 2000; the search
     # scores lags 0..min(cap, n - 21), each design x_{t-1}, the deterministic terms, the lags
@@ -287,12 +289,28 @@ class TestAdf:
         result = adf_test(walk(8, n=n), case=case)
         final = base + result.lags_or_bandwidth
         assert svds == [(base + top, base + top), (final, final)]
-        # one _factor of the widest design, one QR of [X y] per scored lag, one final
-        assert fits == [(rows, base + top), *[(rows, base + lag + 1) for lag in range(top + 1)],
+        # one QR of [X y] per scored lag, the widest first (it also certifies), one final
+        assert fits == [(rows, base + top + 1), *[(rows, base + lag + 1) for lag in range(top)],
                         (n - 1 - result.lags_or_bandwidth, final)]
         svds.clear()
         adf_test(walk(8, n=n), case=case, lags=0)
         assert svds == [(base, base)]
+
+    def test_the_search_holds_one_qr_buffer_at_a_time(self, monkeypatch):
+        # the widest [X y] QR (about 440 KB at T = 2000) is dropped once its corner is read,
+        # so no scored lag's QR runs while an earlier one's buffer is still alive
+        buffers, alive, qr = [], [], np.linalg.qr
+
+        def recording(a, mode="reduced"):
+            alive.append(sum(ref() is not None for ref in buffers))
+            out = qr(a, mode=mode)
+            if mode == "raw":
+                buffers.append(weakref.ref(out[0].base))
+            return out
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        adf_test(walk(8, n=500))  # 18 scored lags (0..17), then the final regression
+        assert len(buffers) == 18 and alive == [0] * 19
 
     def test_schwerts_cap_at_and_just_below_its_whole_values(self):
         # 12 (n / 100)^(1/4) is exactly 12 at n = 100 and 24 at n = 1600
@@ -304,6 +322,14 @@ class TestAdf:
         # standard error of 0.49 points, and the rate must fall within 4 of them
         walks = np.cumsum(np.random.default_rng(0).standard_normal((2000, 100)), axis=1)
         rate = np.mean([adf_test(w).decision_5pct == "stationary" for w in walks])
+        assert abs(rate - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / 2000)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_size_of_pp_on_driftless_walks(self, case):
+        # the same 2,000 walks and bound for Phillips-Perron at its default bandwidth, which
+        # rejects 5.3% (none), 5.4% (constant) and 6.5% (constant_trend) of them
+        walks = np.cumsum(np.random.default_rng(0).standard_normal((2000, 100)), axis=1)
+        rate = np.mean([pp_test(w, case=case).decision_5pct == "stationary" for w in walks])
         assert abs(rate - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / 2000)
 
     def test_too_short(self):
