@@ -86,6 +86,17 @@ def _factor(X, y):
     return X, y, Q, R
 
 
+def _corner_ssr(X, y, check=False) -> float:
+    """The SSR of y on X, the squared corner of the R of [X y] (Golub & Van Loan, 5.3), from one
+    Q-free QR; with ``check``, X and y are _checked and X's rank certified from the same R."""
+    X, y = _checked(X, y) if check else (X, y)
+    k = X.shape[1]
+    H = np.linalg.qr(np.column_stack([X, y]), mode="raw")[0].T
+    if check:
+        _certify(np.triu(H[:k, :k]), X)  # raw keeps the Householder vectors below the diagonal
+    return float(H[k, k]) ** 2
+
+
 def _solve(X, y, Q, R):
     """Coefficients and residuals of one response y from the QR factors of X."""
     beta = np.linalg.solve(R, Q.T @ y)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import norm_cdf
 from .errors import DomainError, LongrunError, TooShort, UnsupportedCase
-from .linalg import _certify, _checked, _refuse_exact_fit, _unscaled_covariance, ols_fit
+from .linalg import _corner_ssr, _refuse_exact_fit, _unscaled_covariance, ols_fit
 from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -170,29 +170,21 @@ def default_max_lags(n: int) -> int:
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows.
     Each design is a column prefix of the widest, and by interlacing none has a worse singular-
-    value ratio: the widest alone is checked and certified from the R of [X_top y] or, when it
-    fails, each prefix in lag order.  A lag is scored by its SSR alone, with no fit built."""
+    value ratio: the widest alone is checked and certified or, when it fails, every prefix is,
+    in lag order, so the first to fail raises.  A lag is scored by its SSR alone, from the R
+    of [X y] (linalg._corner_ssr), with no fit built."""
     y, design, t_common = _df_design(x, case, max_lags)
     top = min(max_lags, len(x) - 1 - _MIN_OBS)
     base = design.shape[1] - max_lags  # x_{t-1} and the deterministic terms
     try:
-        X_top, y = _checked(design[:, :base + top], y)
-        widest = np.linalg.qr(np.column_stack([X_top, y]), mode="raw")[0].T
-        _certify(np.triu(widest[:base + top, :base + top]), X_top)  # raw keeps reflectors below
+        widest, check = _corner_ssr(design[:, :base + top], y, check=True), False
     except LongrunError:
-        for lag in range(top):  # a narrower prefix may fail first; the widest fails as above
-            _unless_exact(ols_fit(design[:, :base + lag], y).ssr, y)
-        raise
-    r_top = widest[base + top, base + top]
-    widest = None  # one QR buffer at a time: holding the widest through the loop raises peak RSS
+        widest, check = None, True
     best_lag, best_sbc = 0, math.inf
     for lag in range(top + 1):
         k = base + lag
-        # R's corner, on LAPACK's raw diagonal, is y's residual norm (Golub & Van Loan, 5.3)
-        r = r_top if lag == top else np.linalg.qr(np.column_stack([design[:, :k], y]),
-                                                  mode="raw")[0][k, k]
-        ssr = _unless_exact(float(r) ** 2, y)
-        sbc = math.log(ssr / t_common) + k * math.log(t_common) / t_common
+        ssr = _corner_ssr(design[:, :k], y, check) if check or lag < top else widest
+        sbc = math.log(_unless_exact(ssr, y) / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc
     return best_lag

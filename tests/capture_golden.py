@@ -191,38 +191,54 @@ def prepare(root: Path) -> dict:
     """Write the synth inputs under ``root``; returns the synth cases' hashes."""
     hashes = {}
     for kind, seed in SYNTH.items():
-        hashes[f"synth/{kind}"] = run(root, ["synth", "--kind", kind, "--seed", seed, "--length",
-                                             LENGTH, "--out-dir", str(root / kind)], root / kind)
+        argv = ["synth", "--kind", kind, "--seed", seed, "--length", LENGTH, "--out-dir",
+                str(root / kind)]
+        hashes[f"synth/{kind}"] = digest(outputs(root, argv, root / kind))
     _write_day_first(root)
     return hashes
 
 
-def run(root: Path, argv: list, written: Path) -> str:
-    """SHA-256 of one in-process CLI run: its exit code, stdout and stderr,
-    then the name and bytes of each file under ``written``."""
+def outputs(root: Path, argv: list, written: Path) -> list:
+    """The parts of one in-process CLI run, as bytes: its exit code, stdout and stderr, with
+    the path of ``root`` replaced by ``<tmp>``, then the name and bytes of each file under
+    ``written``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    digest = hashlib.sha256()
-    for part in (str(code), stdout.getvalue(), stderr.getvalue()):
-        digest.update(part.replace(str(root), "<tmp>").encode("utf-8") + b"\0")
+    parts = [part.replace(str(root), "<tmp>").encode("utf-8")
+             for part in (str(code), stdout.getvalue(), stderr.getvalue())]
     for path in sorted(written.glob("*")):
-        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
-    return digest.hexdigest()
+        parts += [path.name.encode("utf-8"), path.read_bytes()]
+    return parts
+
+
+def digest(parts: list) -> str:
+    """SHA-256 of a run's ``outputs``, each part followed by a NUL byte."""
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(part + b"\0")
+    return sha.hexdigest()
+
+
+def case_outputs(root: Path):
+    """(case id, ``outputs``) of every case but the synth ones, on inputs ``prepare`` wrote
+    under ``root``; ``--out`` writes to ``root/out``, emptied after each case."""
+    out = root / "out"
+    out.mkdir(exist_ok=True)
+    for case_id, argv in cases(root).items():
+        yield case_id, outputs(root, argv, out)
+        for path in out.iterdir():
+            path.unlink()
 
 
 def compute(root: Path) -> dict:
     """The manifest for this checkout, computed in the empty directory ``root``."""
     hashes = prepare(root)
-    out = root / "out"  # where --out writes; emptied after each case
-    out.mkdir()
-    for case_id, argv in cases(root).items():
-        hashes[case_id] = run(root, argv, out)
-        for path in out.iterdir():
-            path.unlink()
+    for case_id, parts in case_outputs(root):
+        hashes[case_id] = digest(parts)
     return {**versions(), "cases": hashes}
 
 

@@ -17,11 +17,15 @@ directory, never into ``src/``, and tier-1 runs there with ``-x``, the
 known-red ``3c`` deselected.  A mutant that no test fails survives; the
 survivors are printed at the end.
 
-    PYTHONPATH=src python tests/mutate.py [--module series] [--sample 20]
+    PYTHONPATH=src python tests/mutate.py [--module series] [--function diff] [--sample 20]
 
-``--module`` (repeatable) limits the sites to the named modules, and
-``--sample N`` draws N of the sites at random, always with seed 0, so a run
-can be repeated.  A mutant whose tier-1 run takes more than 300 seconds
+``--module`` (repeatable) limits the sites to the named modules,
+``--function NAME`` (repeatable) to the lines inside a ``def NAME`` (a
+method or nested function of that name counts too), and ``--sample N``
+draws N of the sites at random, always with seed 0, so a run can be
+repeated.  One change's pass is then one command, for example
+``--module linalg --module unitroot --function _corner_ssr --function
+_select_lags``.  A mutant whose tier-1 run takes more than 300 seconds
 counts as killed.  The file name does not match ``test_*.py``, so pytest
 never collects it.
 """
@@ -94,13 +98,23 @@ def _mutation(node: ast.AST):
         yield f"{type(node).__name__.lower()} statement -> pass", "pass"
 
 
-def mutants(path: Path, executed: set) -> list:
-    """(module, line, description, mutated source) for every site on an executed line."""
+def _lines_inside(tree: ast.AST, functions) -> set:
+    """The line numbers spanned by each ``def`` in ``tree`` named in ``functions``."""
+    return {line for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.name in functions
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def mutants(path: Path, executed: set, functions=None) -> list:
+    """(module, line, description, mutated source) for every site on an executed line, and
+    only inside the named functions when ``functions`` is given."""
     source = path.read_text(encoding="utf-8")
     starts = [0]  # the offset of each line, lines split at "\n" as ast numbers them
     for line in source.split("\n"):
         starts.append(starts[-1] + len(line) + 1)
     tree = ast.parse(source)
+    if functions:
+        executed = executed & _lines_inside(tree, functions)
     skipped = _skipped(tree)
     out = []
     for node in ast.walk(tree):
@@ -134,6 +148,8 @@ def run_tier1(copy: Path) -> tuple:
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", action="append", help="mutate only this module (repeatable)")
+    parser.add_argument("--function", action="append",
+                        help="mutate only the lines inside a def of this name (repeatable)")
     parser.add_argument("--sample", type=int, help="mutate this many sites, drawn at random")
     args = parser.parse_args(argv)
     os.chdir(ROOT)
@@ -143,10 +159,16 @@ def main(argv: list) -> int:
         if unknown:
             parser.error(f"no module {', '.join(sorted(unknown))} in {PACKAGE}")
         paths = [p for p in paths if p.stem in args.module]
+    if args.function:
+        defined = {node.name for p in paths for node in ast.walk(ast.parse(p.read_text("utf-8")))
+                   if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)}
+        unknown = set(args.function) - defined
+        if unknown:
+            parser.error(f"no function {', '.join(sorted(unknown))} in the modules mutated")
 
     print("tracing tier-1 for executed lines ...", flush=True)
     _, executed = run(["-q", "-p", "no:cacheprovider", "--deselect", KNOWN_RED, "tests"])
-    sites = [m for p in paths for m in mutants(p, executed[str(p)])]
+    sites = [m for p in paths for m in mutants(p, executed[str(p)], args.function)]
     if args.sample is not None and args.sample < len(sites):
         sites = sorted(random.Random(0).sample(sites, args.sample), key=lambda m: m[:2])
     print(f"{len(sites)} mutants", flush=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,16 @@ class TestGrangerTest:
         for lag in (0, -1):
             with pytest.raises(DomainError, match=r"^lag must be >= 1$"):
                 granger_test(causal_panel(length=50, seed=1), lag=lag)
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_size_on_first_differences_of_independent_walks(self, lag):
+        # under the null the 5% rule rejects 5% of the time: 2,000 pairs give a standard
+        # error of 0.49 points, and the forward rate (5.5% at lag 1, 5.2% at lag 2) must fall
+        # within 4 of them; on levels the F test over-rejects such walks, so they are left out
+        pairs = np.cumsum(np.random.default_rng(0).standard_normal((2000, 120, 2)), axis=1)
+        rate = np.mean([granger_test(make_panel(*pair.T), lag, on_levels=False)[0].p_value
+                        < 0.05 for pair in pairs])
+        assert abs(rate - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / 2000)
 
 
 class TestExactFit:

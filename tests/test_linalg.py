@@ -17,8 +17,7 @@ from longrun.errors import (
 )
 from longrun.linalg import (
     RANK_RTOL,
-    _certify,
-    _checked,
+    _corner_ssr,
     _factor,
     _refuse_exact_fit,
     _unscaled_covariance,
@@ -147,16 +146,6 @@ def mixed_design(rng, t, columns, tie):
     return np.column_stack(cols)
 
 
-def certify_from_raw_qr(X, y):
-    """The ADF lag search's check of its widest design: _checked, then _certify on the upper
-    triangle of the leading k x k block of the raw QR of [X y] (raw keeps the Householder
-    vectors below the diagonal)."""
-    X, y = _checked(X, y)
-    k = X.shape[1]
-    H = np.linalg.qr(np.column_stack([X, y]), mode="raw")[0].T
-    _certify(np.triu(H[:k, :k]), X)
-
-
 def rank_outcome(check, X, y):
     """None when ``check(X, y)`` passes, else the type and message it raises."""
     try:
@@ -222,12 +211,14 @@ class TestRankCertificate:
                min_size=1, max_size=12),
            tie=st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-4]))
     def test_the_raw_qr_of_x_and_y_certifies_as_factor_does(self, seed, t, columns, tie):
-        # the ADF lag search certifies its widest design from the leading k x k block of
-        # LAPACK's raw QR of [X y], whose R lies on and above the diagonal: it must raise
-        # exactly when _factor does, with the same message (both fall back to the SVD of X)
+        # the ADF lag search checks a design with _corner_ssr, which certifies it from the
+        # leading k x k block of LAPACK's raw QR of [X y], whose R lies on and above the
+        # diagonal: it must raise exactly when _factor does, with the same message (both
+        # fall back to the SVD of X)
         rng = np.random.default_rng(seed)
         X, y = mixed_design(rng, t, columns[:t - 1], tie), rng.standard_normal(t)
-        assert rank_outcome(_factor, X, y) == rank_outcome(certify_from_raw_qr, X, y)
+        assert rank_outcome(_factor, X, y) == rank_outcome(
+            lambda X, y: _corner_ssr(X, y, check=True), X, y)
 
     def test_a_ratio_of_exactly_rank_rtol_is_rank_deficient(self):
         # orthogonal columns of norms 1 and s: the SVD of X returns exactly 1 and s
@@ -260,16 +251,9 @@ class TestRankCertificate:
         assert shapes == [(3, 3), (200, 3)]
 
 
-def r_corner_ssr(X, y) -> float:
-    """The SSR of y on X as the ADF lag search scores it: the last diagonal entry of the R
-    factor of [X y], squared."""
-    k = X.shape[1]
-    return float(np.linalg.qr(np.column_stack([X, y]), mode="r")[k, k]) ** 2
-
-
 class TestExactFitFloor:
-    """_refuse_exact_fit judges an SSR, here one read from the R corner of [X y], against
-    ssr <= (T eps)^2 y'y."""
+    """_refuse_exact_fit judges an SSR, here _corner_ssr's (the squared R corner of [X y], as
+    the ADF lag search scores it), against ssr <= (T eps)^2 y'y."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_y_in_the_span_of_a_full_rank_x_is_adfs_exact_fit(self, seed):
@@ -279,7 +263,7 @@ class TestExactFitFloor:
         _factor(X, y)  # full rank
         with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression has "
                                               r"zero residuals$"):
-            unitroot._unless_exact(r_corner_ssr(X, y), y)
+            unitroot._unless_exact(_corner_ssr(X, y), y)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("t", [40, 200, 2000])
@@ -293,7 +277,7 @@ class TestExactFitFloor:
         fitted = X @ rng.standard_normal(4)
         floor = (t * np.finfo(float).eps) ** 2 * float(fitted @ fitted)
         y = fitted + math.sqrt(2.0 * floor / float(e @ e)) * e
-        ssr = r_corner_ssr(X, y)
+        ssr = _corner_ssr(X, y)
         assert ssr == pytest.approx(2.0 * floor, rel=1e-2)
         assert _refuse_exact_fit(ssr, y, "this fit") == ssr
         # the rule itself: the floor raises, the next float up passes
@@ -315,20 +299,27 @@ class TestExactFitFloor:
             adf_test(x, case=case)
         assert fits == []  # scored from the R corner alone, not by the fallback's fits
 
-    # a flat series under "none" has zero lag columns and a straight line constant
-    # ones: the widest design fails its check, so each prefix is fitted in lag order
-    @pytest.mark.parametrize("x, case", [(np.full(120, 3.5), "none"),
-                                         (np.arange(1.0, 121.0), "none"),
-                                         (np.arange(1.0, 121.0), "constant"),
-                                         (3.0 * np.arange(1.0, 121.0) + 7.0, "constant")],
+    # a flat series under "none" has zero lag columns and a straight line constant ones: the
+    # widest design fails its check (its R, then the SVD of X), so every prefix is checked in
+    # lag order through the QR it is scored from, one k x k certificate each, and none fitted
+    @pytest.mark.parametrize("x, case, exact_lag", [(np.full(120, 3.5), "none", 0),
+                                                    (np.arange(1.0, 121.0), "none", 1),
+                                                    (np.arange(1.0, 121.0), "constant", 0),
+                                                    (3.0 * np.arange(1.0, 121.0) + 7.0,
+                                                     "constant", 0)],
                              ids=["flat", "x none", "x constant", "3x+7 constant"])
     def test_flat_and_straight_line_searches_refuse_through_the_fallback(self, monkeypatch,
-                                                                         x, case):
-        fits = []
+                                                                         x, case, exact_lag):
+        fits, svds, svd = [], [], np.linalg.svd
         monkeypatch.setattr(unitroot, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svds.append(
+            np.shape(a)) or svd(a, *args, **kwargs))
         with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression"):
             adf_test(x, case=case)
-        assert fits
+        base, top = 1 + unitroot.CASES.index(case), 12  # Schwert's cap at n = 120
+        widest = [(base + top, base + top), (119 - top, base + top)]
+        assert svds == [*widest, *[(base + lag, base + lag) for lag in range(exact_lag + 1)]]
+        assert fits == []
 
 
 def _walk_block(seed: int, t: int, p: int) -> np.ndarray:

@@ -74,15 +74,18 @@ def test_result_fields_match_the_benchmark_refs():
         assert {f.name for f in dataclasses.fields(cls)} == set(record), cls.__name__
 
 
-def _records():
-    """One of each result record, from a seeded cointegrated pair (T = 200)."""
+@pytest.fixture(scope="module")
+def records():
+    """One of each result record by class name, from a seeded cointegrated pair (T = 200).
+    Built when the first test runs, not at collection: a fault here fails those tests alone."""
     from longrun.synth import ProcessSpec, generate
 
     panel = generate(ProcessSpec(kind="cointegrated_pair", length=200, seed=5, beta=2.0))
     series = longrun.Series("x", panel.start, panel.data[:, 0])
-    return [longrun.summarize(series), longrun.adf_test(series),
-            longrun.select_lag(panel, 3)[1][0], longrun.granger_test(panel, 2)[0],
-            longrun.johansen_test(panel, 1)]
+    built = [longrun.summarize(series), longrun.adf_test(series),
+             longrun.select_lag(panel, 3)[1][0], longrun.granger_test(panel, 2)[0],
+             longrun.johansen_test(panel, 1)]
+    return {type(record).__name__: record for record in built}
 
 
 def _same(a, b) -> bool:
@@ -90,8 +93,10 @@ def _same(a, b) -> bool:
         np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
-def test_result_records_are_slotted_and_still_copy_pickle_and_replace(record):
+@pytest.mark.parametrize("name", ["SummaryStats", "UnitRootResult", "LagSelectionRow",
+                                  "GrangerResult", "JohansenResult"])
+def test_result_records_are_slotted_and_still_copy_pickle_and_replace(records, name):
+    record = records[name]
     # slots keep each record's fields without a per-instance __dict__ (or weakref slot)
     assert not hasattr(record, "__dict__")
     with pytest.raises(TypeError):
