@@ -48,12 +48,10 @@ def _one_direction(cause: np.ndarray, effect: np.ndarray, labels: tuple, lag: in
     t_used = n - lag
     d2 = t_used - 2 * lag - 1
     y = effect[lag:]
-    own = lag_matrix(effect, lag)
-    cross = lag_matrix(cause, lag)
-    const = np.ones((t_used, 1))
-    ssr_u = _refuse_exact_fit(ols_fit(np.hstack([const, own, cross]), y).ssr, y,
+    X = np.hstack([np.ones((t_used, 1)), lag_matrix(effect, lag), lag_matrix(cause, lag)])
+    ssr_u = _refuse_exact_fit(ols_fit(X, y).ssr, y,
                               f"the regression of {labels[1]} on the lags of both series")
-    f_stat = f_from_ssr(ols_fit(np.hstack([const, own]), y).ssr, ssr_u, lag, d2)
+    f_stat = f_from_ssr(ols_fit(X[:, :1 + lag], y).ssr, ssr_u, lag, d2)  # on [1, own lags]
     return GrangerResult(
         direction=labels,
         lag=lag,

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, RankDeficient, TooShort
+from .errors import (DimensionMismatch, DomainError, LongrunError, NotPositiveDefinite,
+                     RankDeficient, TooShort)
 
 # Columns whose smallest/largest singular value ratio is at most this are
 # treated as numerically dependent.
@@ -44,7 +45,7 @@ class OlsFit:
     residuals: np.ndarray
     ssr: float
     sigma2: float
-    # the R factor of X = QR, kept for the coefficient covariance
+    # the R factor of X = QR, kept for the standard error in _t_ratio_first
     _r: np.ndarray = field(default=None, repr=False, compare=False)
 
 
@@ -97,19 +98,14 @@ def _corner_ssr(X, y, check=False) -> float:
     return float(H[k, k]) ** 2
 
 
-def _solve(X, y, Q, R):
-    """Coefficients and residuals of one response y from the QR factors of X."""
-    beta = np.linalg.solve(R, Q.T @ y)
-    return beta, y - X @ beta
-
-
 def ols_fit(X, y) -> OlsFit:
     """Fit y = X b by least squares on the QR factors of a design checked by _factor."""
     if np.ndim(y) != 1:
         raise DimensionMismatch("X must be 2-D and y 1-D")
     X, y, Q, R = _factor(X, y)
     T, k = X.shape
-    beta, resid = _solve(X, y, Q, R)
+    beta = np.linalg.solve(R, Q.T @ y)
+    resid = y - X @ beta
     ssr = float(resid @ resid)
     return OlsFit(beta, resid, ssr, ssr / (T - k), R)
 
@@ -123,11 +119,38 @@ def _refuse_exact_fit(ssr: float, y: np.ndarray, what: str) -> float:
     return ssr
 
 
-def _unscaled_covariance(fit: OlsFit) -> np.ndarray:
-    """(X'X)^-1 from the fit's R factor (multiply by sigma2 for the OLS
-    coefficient covariance)."""
-    r_inv = np.linalg.solve(fit._r, np.eye(fit._r.shape[0]))
-    return r_inv @ r_inv.T
+def _prefix_ssrs(X, y, first: int, what: str) -> list:
+    """The SSR of y on each column prefix X[:, :k], k = first..K, in order, from _corner_ssr and
+    _refuse_exact_fit (``what`` names the regression).  By interlacing no prefix has a worse sv
+    ratio than X, so X alone is checked, by the QR that scores k = K; if it fails, every prefix
+    is checked, in order, so the first prefix to fail either rule raises."""
+    K = X.shape[1]
+    try:
+        widest, check = _corner_ssr(X, y, check=True), False
+    except LongrunError:
+        widest, check = None, True
+    return [_refuse_exact_fit(_corner_ssr(X[:, :k], y, check) if check or k < K else widest,
+                              y, what) for k in range(first, K + 1)]
+
+
+def _t_ratio_first(X, y, what: str) -> tuple:
+    """(fit of y on X, t ratio of its first coefficient, that coefficient's standard error) from
+    the fit's R, (X'X)^-1 = R^-1 R^-T; an exact fit has none (_refuse_exact_fit names ``what``)."""
+    fit = ols_fit(X, y)
+    _refuse_exact_fit(fit.ssr, y, what)
+    r_inv = np.linalg.solve(fit._r, np.eye(len(fit._r)))
+    se0 = math.sqrt(fit.sigma2 * (r_inv @ r_inv.T)[0, 0])
+    return fit, fit.coefficients[0] / se0, se0
+
+
+def _residual_covariance(X, Y) -> np.ndarray:
+    """E'E / T, E the residuals of each column of the T x m block Y on X, factored once by _factor;
+    each column is solved on its own (one Q'Y over all columns would sum in another order)."""
+    X, Y, Q, R = _factor(X, Y)
+    E = np.empty_like(Y)
+    for i in range(Y.shape[1]):
+        E[:, i] = Y[:, i] - X @ np.linalg.solve(R, Q.T @ Y[:, i])
+    return E.T @ E / X.shape[0]
 
 
 def residuals_of(Y, Z) -> np.ndarray:

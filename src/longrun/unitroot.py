@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import norm_cdf
-from .errors import DomainError, LongrunError, TooShort, UnsupportedCase
-from .linalg import _corner_ssr, _refuse_exact_fit, _unscaled_covariance, ols_fit
+from .errors import DimensionMismatch, DomainError, TooShort, UnsupportedCase
+from .linalg import _prefix_ssrs, _t_ratio_first
 from .series import _values, lag_matrix
 
 CASES = ("none", "constant", "constant_trend")
@@ -25,6 +25,7 @@ LEVELS = ("1%", "5%", "10%")
 # MacKinnon (1991) critical-value response surface coefficients, one-variable
 # Dickey-Fuller t distribution: c(T) = b_inf + b1/T + b2/T^2, for T >= _MIN_OBS.
 _MIN_OBS = 20
+_DF_REGRESSION = "the Dickey-Fuller regression"  # names it in an exact-fit refusal
 _CRIT_SURFACE = {
     "none": {
         "1%": (-2.5658, -1.960, -10.04),
@@ -148,46 +149,22 @@ def _df_design(x: np.ndarray, case: str, lags: int):
     return dx[lags:], X, t_eff
 
 
-def _unless_exact(ssr: float, y: np.ndarray) -> float:
-    """The SSR of a Dickey-Fuller regression, which has no t ratio when exact or
-    within rounding of exact (linalg._refuse_exact_fit), where its sign is noise."""
-    return _refuse_exact_fit(ssr, y, "the Dickey-Fuller regression")
-
-
-def _t_ratio_first(X: np.ndarray, y: np.ndarray):
-    fit = ols_fit(X, y)
-    _unless_exact(fit.ssr, y)
-    cov = _unscaled_covariance(fit)
-    se0 = math.sqrt(fit.sigma2 * cov[0, 0])
-    return fit, fit.coefficients[0] / se0, se0
-
-
 def default_max_lags(n: int) -> int:
     """Schwert's rule floor(12 (T/100)^{1/4}), the common auto-selection cap."""
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
-    """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows.
-    Each design is a column prefix of the widest, and by interlacing none has a worse singular-
-    value ratio: the widest alone is checked and certified or, when it fails, every prefix is,
-    in lag order, so the first to fail raises.  A lag is scored by its SSR alone, from the R
-    of [X y] (linalg._corner_ssr), with no fit built."""
+    """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows,
+    the first minimum on ties.  Each design is a column prefix of the widest, scored by its SSR
+    alone (linalg._prefix_ssrs, which checks the designs and refuses an exact fit)."""
     y, design, t_common = _df_design(x, case, max_lags)
     top = min(max_lags, len(x) - 1 - _MIN_OBS)
     base = design.shape[1] - max_lags  # x_{t-1} and the deterministic terms
-    try:
-        widest, check = _corner_ssr(design[:, :base + top], y, check=True), False
-    except LongrunError:
-        widest, check = None, True
-    best_lag, best_sbc = 0, math.inf
-    for lag in range(top + 1):
-        k = base + lag
-        ssr = _corner_ssr(design[:, :k], y, check) if check or lag < top else widest
-        sbc = math.log(_unless_exact(ssr, y) / t_common) + k * math.log(t_common) / t_common
-        if sbc < best_sbc:
-            best_lag, best_sbc = lag, sbc
-    return best_lag
+    ssrs = _prefix_ssrs(design[:, :base + top], y, base, _DF_REGRESSION)
+    sbcs = [math.log(ssr / t_common) + (base + lag) * math.log(t_common) / t_common
+            for lag, ssr in enumerate(ssrs)]
+    return sbcs.index(min(sbcs))
 
 
 def _finish(kind: str, stat: float, case: str, lags_or_bw: int, t_eff: int,
@@ -216,6 +193,8 @@ def adf_test(s, case: str = "constant", lags: int | None = None) -> UnitRootResu
     """
     _check_case(case)
     x = _values(s)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"a unit-root test needs 1-D values, got {x.ndim}-D")
     n = len(x)
     if lags is not None and lags < 0:
         raise DomainError("lags must be >= 0")
@@ -225,7 +204,7 @@ def adf_test(s, case: str = "constant", lags: int | None = None) -> UnitRootResu
         lags = _select_lags(x, case, cap)
     crit = _critical_values(case, n - 1 - lags)
     y, X, t_eff = _df_design(x, case, lags)
-    _, stat, _ = _t_ratio_first(X, y)
+    _, stat, _ = _t_ratio_first(X, y, _DF_REGRESSION)
     return _finish("adf", stat, case, lags, t_eff, crit)
 
 
@@ -240,6 +219,8 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
     """
     _check_case(case)
     x = _values(s)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"a unit-root test needs 1-D values, got {x.ndim}-D")
     n = len(x)
     crit = _critical_values(case, n - 1)
     if bandwidth is None:
@@ -247,7 +228,7 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
     if bandwidth < 0:
         raise DomainError("bandwidth must be >= 0")
     y, X, t_eff = _df_design(x, case, 0)
-    fit, tau, se_rho = _t_ratio_first(X, y)
+    fit, tau, se_rho = _t_ratio_first(X, y, _DF_REGRESSION)
     gamma0 = fit.ssr / t_eff
     lam2 = long_run_variance(fit.residuals, bandwidth)
     s_reg = math.sqrt(fit.sigma2)

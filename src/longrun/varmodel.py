@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TooShort
-from .linalg import _factor, _solve, log_det
+from .linalg import _residual_covariance, log_det
 from .series import Panel, lag_matrix
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -27,12 +27,8 @@ def _var_loglik(data: np.ndarray, lag: int) -> float:
     the shared regressor set, which is checked and factored once."""
     n, m = data.shape
     t_eff = n - lag
-    X, y, Q, R = _factor(np.hstack([np.ones((t_eff, 1)), lag_matrix(data, lag)]), data[lag:])
-    resid = np.empty_like(y)
-    for i in range(m):
-        # per column: one Q.T @ y over all columns would sum in another order
-        _, resid[:, i] = _solve(X, y[:, i], Q, R)
-    sigma = resid.T @ resid / t_eff
+    sigma = _residual_covariance(np.hstack([np.ones((t_eff, 1)), lag_matrix(data, lag)]),
+                                 data[lag:])
     return -(t_eff * m / 2.0) * (1.0 + LN_2PI) - (t_eff / 2.0) * log_det(sigma)
 
 

@@ -1,0 +1,50 @@
+"""Module boundaries of ``src/longrun``, read from the source with ``ast``.
+
+``linalg`` owns every QR it takes: its factors, the raw corner of ``[X y]``, the
+input checks and the rank certificate.  Another module asks ``linalg`` for an
+answer (a fit, a list of SSRs, a t ratio, a covariance) and never drives the QR.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "longrun"
+QR_PROTOCOL = frozenset({"_factor", "_corner_ssr", "_checked", "_certify", "_solve",
+                         "_unscaled_covariance"})
+
+
+def protocol_uses(path: Path) -> list:
+    """(line, use) for each name of linalg's QR protocol the module imports or reads, each
+    read of an ``._r`` attribute and each use of ``numpy.linalg``."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            uses += [(node.lineno, f"imports {name}") for name in sorted(names & QR_PROTOCOL)]
+            if (node.module or "").startswith("numpy.linalg") or (
+                    node.module == "numpy" and "linalg" in names):
+                uses.append((node.lineno, "imports numpy.linalg"))
+        elif isinstance(node, ast.Import):
+            uses += [(node.lineno, "imports numpy.linalg") for alias in node.names
+                     if alias.name.startswith("numpy.linalg")]
+        elif isinstance(node, ast.Attribute):
+            if node.attr in QR_PROTOCOL or node.attr == "_r":
+                uses.append((node.lineno, f"reads .{node.attr}"))
+            elif (node.attr == "linalg" and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy")):
+                uses.append((node.lineno, "uses np.linalg"))
+    return uses
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem != "linalg"))
+def test_no_module_but_linalg_drives_its_qr(module):
+    assert protocol_uses(PACKAGE / f"{module}.py") == []
+
+
+def test_the_rule_sees_linalg_itself():
+    # the same reader finds linalg's own uses, so an empty list elsewhere means something
+    uses = {use for _, use in protocol_uses(PACKAGE / "linalg.py")}
+    assert {"reads ._r", "uses np.linalg"} <= uses

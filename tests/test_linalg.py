@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from longrun import unitroot
+from longrun import linalg, unitroot
 from longrun.errors import (
     DimensionMismatch,
     DomainError,
@@ -19,8 +19,9 @@ from longrun.linalg import (
     RANK_RTOL,
     _corner_ssr,
     _factor,
+    _prefix_ssrs,
     _refuse_exact_fit,
-    _unscaled_covariance,
+    _t_ratio_first,
     canonical_correlations,
     log_det,
     ols_fit,
@@ -114,10 +115,11 @@ class TestOlsFit:
             ols_fit(np.arange(5.0), np.ones(5))
 
     def test_coef_covariance_matches_inverse(self):
+        # the t ratio's variance is sigma2 times the [0, 0] entry of (X'X)^-1
         rng = Rng(8)
         X = np.column_stack([np.ones(25), rng.normals(25)])
-        cov = _unscaled_covariance(ols_fit(X, rng.normals(25)))
-        assert cov == pytest.approx(np.linalg.inv(X.T @ X), rel=1e-9)
+        fit, _, se0 = _t_ratio_first(X, rng.normals(25), "this fit")
+        assert se0 ** 2 / fit.sigma2 == pytest.approx(np.linalg.inv(X.T @ X)[0, 0], rel=1e-9)
 
 
 def _svd_of_x_rule(X):
@@ -251,6 +253,21 @@ class TestRankCertificate:
         assert shapes == [(3, 3), (200, 3)]
 
 
+class TestPrefixSsrs:
+    """_prefix_ssrs scores every column prefix from ``first`` to the whole design, in order."""
+
+    @pytest.mark.parametrize("first", [1, 3, 6])
+    def test_each_prefix_is_scored_by_its_own_corner(self, first):
+        rng = np.random.default_rng(first)
+        X = np.column_stack([np.ones(80), rng.standard_normal((80, 5))])
+        y = X @ rng.standard_normal(6) + rng.standard_normal(80)
+        got = _prefix_ssrs(X, y, first, "this fit")
+        assert [ssr.hex() for ssr in got] == [_corner_ssr(X[:, :k], y).hex()
+                                              for k in range(first, 7)]
+        assert got == pytest.approx([ols_fit(X[:, :k], y).ssr for k in range(first, 7)],
+                                    rel=1e-12)
+
+
 class TestExactFitFloor:
     """_refuse_exact_fit judges an SSR, here _corner_ssr's (the squared R corner of [X y], as
     the ADF lag search scores it), against ssr <= (T eps)^2 y'y."""
@@ -263,7 +280,7 @@ class TestExactFitFloor:
         _factor(X, y)  # full rank
         with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression has "
                                               r"zero residuals$"):
-            unitroot._unless_exact(_corner_ssr(X, y), y)
+            _prefix_ssrs(X, y, 5, "the Dickey-Fuller regression")
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("t", [40, 200, 2000])
@@ -294,7 +311,7 @@ class TestExactFitFloor:
         walk = np.cumsum(np.random.default_rng(0).standard_normal(8))
         x = np.concatenate([walk, 1024.0 * 0.5 ** np.arange(17)])
         fits = []
-        monkeypatch.setattr(unitroot, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
+        monkeypatch.setattr(linalg, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
         with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression"):
             adf_test(x, case=case)
         assert fits == []  # scored from the R corner alone, not by the fallback's fits
@@ -311,7 +328,7 @@ class TestExactFitFloor:
     def test_flat_and_straight_line_searches_refuse_through_the_fallback(self, monkeypatch,
                                                                          x, case, exact_lag):
         fits, svds, svd = [], [], np.linalg.svd
-        monkeypatch.setattr(unitroot, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
+        monkeypatch.setattr(linalg, "ols_fit", lambda X, y: fits.append(X) or ols_fit(X, y))
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svds.append(
             np.shape(a)) or svd(a, *args, **kwargs))
         with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression"):

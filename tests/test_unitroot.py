@@ -4,15 +4,21 @@ import weakref
 import numpy as np
 import pytest
 
-from longrun import unitroot
-from longrun.errors import DomainError, LongrunError, RankDeficient, TooShort, UnsupportedCase
-from longrun.linalg import ols_fit
+from longrun import linalg, unitroot
+from longrun.errors import (
+    DimensionMismatch,
+    DomainError,
+    LongrunError,
+    RankDeficient,
+    TooShort,
+    UnsupportedCase,
+)
+from longrun.linalg import _t_ratio_first, ols_fit
 from longrun.series import diff
 from longrun.synth import ProcessSpec, Rng, generate
 from longrun.unitroot import (
     CASES,
     _df_design,
-    _t_ratio_first,
     adf_test,
     bartlett_weights,
     long_run_variance,
@@ -345,7 +351,7 @@ class TestAdf:
         # the standard error once came from a second QR of X (mode "r"); the
         # fit's own R factor must give the same bits
         y, X, _ = _df_design(walk(8).values, case, lags)
-        fit, tau, se0 = _t_ratio_first(X, y)
+        fit, tau, se0 = _t_ratio_first(X, y, "the Dickey-Fuller regression")
         R = np.linalg.qr(X, mode="r")
         r_inv = np.linalg.solve(R, np.eye(R.shape[0]))
         want = math.sqrt(fit.sigma2 * (r_inv @ r_inv.T)[0, 0])
@@ -359,6 +365,19 @@ class TestAdf:
     def test_unsupported_case(self):
         with pytest.raises(UnsupportedCase):
             adf_test(walk(8), case="seasonal")
+
+
+class TestInputShape:
+    # a T x 2 block, the T x 1 column that df[["x"]].values gives, a 0-d scalar and a 2 x T
+    # block once raised a bare numpy ValueError or TypeError, or a misleading TooShort
+    @pytest.mark.parametrize("test", [adf_test, pp_test], ids=["adf", "pp"])
+    @pytest.mark.parametrize("shape", [(120, 2), (240, 1), (), (2, 120)],
+                             ids=["Tx2", "Tx1", "0-d", "2xT"])
+    def test_values_that_are_not_1d_are_a_dimension_mismatch(self, test, shape):
+        values = walk(8, 240).values[:math.prod(shape)].reshape(shape)
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^a unit-root test needs 1-D values, got {len(shape)}-D$"):
+            test(values)
 
 
 class TestExactFit:
@@ -390,7 +409,8 @@ def per_prefix_search(x, case, max_lags):
     best_lag, best_sbc = 0, math.inf
     for lag in range(min(max_lags, len(x) - 21) + 1):
         k = widest.shape[1] - max_lags + lag
-        ssr = unitroot._unless_exact(ols_fit(widest[:, :k], y).ssr, y)
+        ssr = linalg._refuse_exact_fit(ols_fit(widest[:, :k], y).ssr, y,
+                                       "the Dickey-Fuller regression")
         sbc = math.log(ssr / t_common) + k * math.log(t_common) / t_common
         if sbc < best_sbc:
             best_lag, best_sbc = lag, sbc
@@ -400,14 +420,14 @@ def per_prefix_search(x, case, max_lags):
 def outcome(monkeypatch, x, case, search=None):
     """(repr of adf_test's result, or the type and message it raises; every SSR it judges
     for an exact fit), with ``search`` in place of the lag search if given."""
-    judged, judge = [], unitroot._unless_exact
+    judged, judge = [], linalg._refuse_exact_fit
 
-    def recording(ssr, y):
+    def recording(ssr, y, what):
         judged.append(ssr)
-        return judge(ssr, y)
+        return judge(ssr, y, what)
 
     with monkeypatch.context() as patch:
-        patch.setattr(unitroot, "_unless_exact", recording)
+        patch.setattr(linalg, "_refuse_exact_fit", recording)
         if search is not None:
             patch.setattr(unitroot, "_select_lags", search)
         try:
