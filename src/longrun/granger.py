@@ -9,7 +9,7 @@ import numpy as np
 from .distributions import f_sf
 from .errors import DimensionMismatch, DomainError
 from .linalg import _refuse_exact_fit, ols_fit
-from .series import Panel, lag_matrix
+from .series import Panel, _lag_design
 
 VERDICT_H1 = "H1"  # first column drives the second
 VERDICT_H2 = "H2"  # second column drives the first
@@ -44,11 +44,8 @@ def f_from_ssr(ssr_restricted: float, ssr_unrestricted: float, p: int, d2: int) 
 
 def _one_direction(cause: np.ndarray, effect: np.ndarray, labels: tuple, lag: int,
                    on_levels: bool) -> GrangerResult:
-    n = len(effect)
-    t_used = n - lag
-    d2 = t_used - 2 * lag - 1
-    y = effect[lag:]
-    X = np.hstack([np.ones((t_used, 1)), lag_matrix(effect, lag), lag_matrix(cause, lag)])
+    y, X = _lag_design(effect, lag, cause)  # [1, own lags, cross lags]
+    d2 = len(y) - X.shape[1]
     ssr_u = _refuse_exact_fit(ols_fit(X, y).ssr, y,
                               f"the regression of {labels[1]} on the lags of both series")
     f_stat = f_from_ssr(ols_fit(X[:, :1 + lag], y).ssr, ssr_u, lag, d2)  # on [1, own lags]
@@ -58,7 +55,7 @@ def _one_direction(cause: np.ndarray, effect: np.ndarray, labels: tuple, lag: in
         f_statistic=f_stat,
         p_value=f_sf(f_stat, lag, d2),
         df=(lag, d2),
-        obs_used=t_used,
+        obs_used=len(y),
         on_levels=on_levels,
     )
 

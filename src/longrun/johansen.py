@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import gamma_sf
 from .errors import DomainError, TooShort, UnsupportedCase
 from .linalg import canonical_correlations, residuals_of
-from .series import Panel, lag_matrix
+from .series import Panel, _lag_design
 
 CASE_CONSTANT = "constant"
 
@@ -131,17 +131,16 @@ def johansen_test(panel: Panel, lagged_diffs: int) -> JohansenResult:
     data = panel.data
     n, m = data.shape
     k = lagged_diffs
-    t_eff = n - k - 1
     # Short-run regressors: intercept plus k lags of the differences, leaving
     # the residual moment matrices at least 2m + 8 degrees of freedom.
-    if t_eff - (1 + m * k) < 2 * m + 8:
+    if n - k - 1 - (1 + m * k) < 2 * m + 8:
         raise TooShort(f"panel of length {n} too short for {k} lagged differences")
     trace_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "trace") for r in range(m)])
     maxeig_crit = np.array([johansen_critical(CASE_CONSTANT, m - r, "max_eigen") for r in range(m)])
-    dx = np.diff(data, axis=0)
-    Z = np.hstack([np.ones((t_eff, 1)), lag_matrix(dx, k)])
-    r0 = residuals_of(dx[k:], Z)
-    r1 = residuals_of(data[k: n - 1], Z)
+    dx, Z = _lag_design(np.diff(data, axis=0), k)
+    t_eff = len(dx)
+    r0 = residuals_of(dx, Z)
+    r1 = residuals_of(data[k:-1], Z)
     eigenvalues, eigenvectors = canonical_correlations(r0, r1)
     if eigenvalues[0] == 1.0:
         raise DomainError("a canonical correlation of 1 makes ln(1 - lambda) infinite: "

@@ -89,13 +89,15 @@ def _factor(X, y):
 
 def _corner_ssr(X, y, check=False) -> float:
     """The SSR of y on X, the squared corner of the R of [X y] (Golub & Van Loan, 5.3), from one
-    Q-free QR; with ``check``, X and y are _checked and X's rank certified from the same R."""
+    Q-free QR; with ``check``, X and y are _checked and X's rank certified from the same R.  The
+    corner times itself is inf past the float range, where ``** 2`` raises OverflowError."""
     X, y = _checked(X, y) if check else (X, y)
     k = X.shape[1]
     H = np.linalg.qr(np.column_stack([X, y]), mode="raw")[0].T
     if check:
         _certify(np.triu(H[:k, :k]), X)  # raw keeps the Householder vectors below the diagonal
-    return float(H[k, k]) ** 2
+    corner = float(H[k, k])
+    return corner * corner
 
 
 def ols_fit(X, y) -> OlsFit:
@@ -111,9 +113,11 @@ def ols_fit(X, y) -> OlsFit:
 
 
 def _refuse_exact_fit(ssr: float, y: np.ndarray, what: str) -> float:
-    """The SSR of a fit of y, or DomainError naming ``what`` when the fit is exact or within
-    rounding of exact, ssr <= (T eps)^2 y'y, where its residuals and any statistic on them are
-    noise."""
+    """The SSR of a fit of y, or DomainError naming ``what`` when the SSR overflowed to inf or
+    the fit is exact or within rounding of exact, ssr <= (T eps)^2 y'y, where its residuals and
+    any statistic on them are noise."""
+    if ssr == math.inf:
+        raise DomainError(f"overflow: {what} has a sum of squared residuals past the float range")
     if ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
         raise DomainError(f"exact fit: {what} has zero residuals")
     return ssr

@@ -295,3 +295,11 @@ def lag_matrix(x, p: int) -> np.ndarray:
     if n <= p:
         raise TooShort(f"series of length {n} has no rows with {p} lags")
     return np.hstack([x[p - 1 - j: n - 1 - j] for j in range(p)])
+
+
+def _lag_design(x, p: int, *others, terms: int = 1) -> tuple:
+    """(x[p:], X) for a regression of x on its lags: X is ``terms`` deterministic columns (1,
+    then t = 1, 2, ...), then the ``lag_matrix`` blocks of x and of each of ``others``."""
+    lags = [lag_matrix(z, p) for z in (x, *others)]
+    trend = np.vander(np.arange(1.0, len(lags[0]) + 1.0), terms, increasing=True)
+    return _values(x)[p:], np.hstack([trend, *lags])

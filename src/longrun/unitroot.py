@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import norm_cdf
 from .errors import DimensionMismatch, DomainError, TooShort, UnsupportedCase
 from .linalg import _prefix_ssrs, _t_ratio_first
-from .series import _values, lag_matrix
+from .series import _lag_design, _values
 
 CASES = ("none", "constant", "constant_trend")
 LEVELS = ("1%", "5%", "10%")
@@ -83,6 +83,15 @@ def _check_case(case: str):
         raise UnsupportedCase(f"deterministic case must be one of {CASES}, got {case!r}")
 
 
+def _unit_root_values(s, case: str) -> np.ndarray:
+    """The values of ``s``, after UnsupportedCase for ``case`` and DimensionMismatch unless 1-D."""
+    _check_case(case)
+    x = _values(s)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"a unit-root test needs 1-D values, got {x.ndim}-D")
+    return x
+
+
 def _critical_values(case: str, t_eff: int) -> dict:
     """Critical values by level at t_eff observations; TooShort below _MIN_OBS."""
     if t_eff < _MIN_OBS:
@@ -131,22 +140,11 @@ def long_run_variance(residuals: np.ndarray, bandwidth: int) -> float:
     return total
 
 
-def _deterministics(case: str, t: int) -> np.ndarray:
-    if case == "none":
-        return np.empty((t, 0))
-    if case == "constant":
-        return np.ones((t, 1))
-    return np.column_stack([np.ones(t), np.arange(1.0, t + 1.0)])
-
-
 def _df_design(x: np.ndarray, case: str, lags: int):
-    """Response dx_t and regressors [x_{t-1}, deterministics, dx lags] for the
+    """Response dx_t, regressors [x_{t-1}, deterministics, dx lags] and the row count, for the
     usable sample after losing one difference and ``lags`` lag rows."""
-    dx = np.diff(x)
-    n = len(x)
-    t_eff = n - 1 - lags
-    X = np.hstack([x[lags: n - 1][:, None], _deterministics(case, t_eff), lag_matrix(dx, lags)])
-    return dx[lags:], X, t_eff
+    y, X = _lag_design(np.diff(x), lags, terms=CASES.index(case))
+    return y, np.hstack([x[lags:-1, None], X]), len(y)
 
 
 def default_max_lags(n: int) -> int:
@@ -191,16 +189,13 @@ def adf_test(s, case: str = "constant", lags: int | None = None) -> UnitRootResu
     ``default_max_lags(n)`` lags, among the lags whose final regression keeps
     20 observations; that regression is then re-run on the full usable sample.
     """
-    _check_case(case)
-    x = _values(s)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"a unit-root test needs 1-D values, got {x.ndim}-D")
+    x = _unit_root_values(s, case)
     n = len(x)
     if lags is not None and lags < 0:
         raise DomainError("lags must be >= 0")
     if lags is None:
         _critical_values(case, n - 1)  # the 20-observation floor, checked before any fit
-        cap = min(default_max_lags(n), (n - 2 - _deterministics(case, 0).shape[1]) // 2 - 1)
+        cap = min(default_max_lags(n), (n - 2 - CASES.index(case)) // 2 - 1)
         lags = _select_lags(x, case, cap)
     crit = _critical_values(case, n - 1 - lags)
     y, X, t_eff = _df_design(x, case, lags)
@@ -217,10 +212,7 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
     bandwidth 0 the correction vanishes and the statistic equals the plain
     Dickey-Fuller t ratio.
     """
-    _check_case(case)
-    x = _values(s)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"a unit-root test needs 1-D values, got {x.ndim}-D")
+    x = _unit_root_values(s, case)
     n = len(x)
     crit = _critical_values(case, n - 1)
     if bandwidth is None:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DomainError, TooShort
 from .linalg import _residual_covariance, log_det
-from .series import Panel, lag_matrix
+from .series import Panel, _lag_design
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -25,10 +25,9 @@ def _var_loglik(data: np.ndarray, lag: int) -> float:
     """Gaussian log-likelihood of a VAR(lag) with intercept fitted to the rows
     after the first ``lag`` (MLE residual covariance), equation by equation on
     the shared regressor set, which is checked and factored once."""
-    n, m = data.shape
-    t_eff = n - lag
-    sigma = _residual_covariance(np.hstack([np.ones((t_eff, 1)), lag_matrix(data, lag)]),
-                                 data[lag:])
+    Y, X = _lag_design(data, lag)
+    t_eff, m = Y.shape
+    sigma = _residual_covariance(X, Y)
     return -(t_eff * m / 2.0) * (1.0 + LN_2PI) - (t_eff / 2.0) * log_det(sigma)
 
 

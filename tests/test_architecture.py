@@ -3,6 +3,9 @@
 ``linalg`` owns every QR it takes: its factors, the raw corner of ``[X y]``, the
 input checks and the rank certificate.  Another module asks ``linalg`` for an
 answer (a fit, a list of SSRs, a t ratio, a covariance) and never drives the QR.
+
+``series`` lays out every lagged regression: ``_lag_design`` stacks the deterministic
+columns and the ``lag_matrix`` blocks, and no other module builds a lag block itself.
 """
 
 import ast
@@ -48,3 +51,26 @@ def test_the_rule_sees_linalg_itself():
     # the same reader finds linalg's own uses, so an empty list elsewhere means something
     uses = {use for _, use in protocol_uses(PACKAGE / "linalg.py")}
     assert {"reads ._r", "uses np.linalg"} <= uses
+
+
+def lag_matrix_uses(path: Path) -> list:
+    """The lines where the module imports or reads the name ``lag_matrix``."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            uses += [node.lineno for alias in node.names if alias.name == "lag_matrix"]
+        elif (isinstance(node, ast.Name) and node.id == "lag_matrix"
+              or isinstance(node, ast.Attribute) and node.attr == "lag_matrix"):
+            uses.append(node.lineno)
+    return uses
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                          if p.stem not in ("series", "__init__")))
+def test_no_module_but_series_builds_a_lag_block(module):
+    assert lag_matrix_uses(PACKAGE / f"{module}.py") == []
+
+
+def test_the_lag_rule_sees_series_and_the_re_export():
+    assert lag_matrix_uses(PACKAGE / "series.py")
+    assert lag_matrix_uses(PACKAGE / "__init__.py")

@@ -162,6 +162,13 @@ class TestGrangerTest:
             with pytest.raises(DomainError, match=r"^lag must be >= 1$"):
                 granger_test(causal_panel(length=50, seed=1), lag=lag)
 
+    @pytest.mark.parametrize("lag", [30, 31, 40])
+    def test_a_lag_at_or_past_the_panels_length_is_too_short(self, lag):
+        # the lag block checks the length before any column is sized, so a lag past it is no
+        # bare ValueError from a negative row count
+        with pytest.raises(TooShort, match=rf"^series of length 30 has no rows with {lag} lags$"):
+            granger_test(causal_panel(length=30, seed=1), lag=lag)
+
     @pytest.mark.parametrize("lag", [1, 2])
     def test_size_on_first_differences_of_independent_walks(self, lag):
         # under the null the 5% rule rejects 5% of the time: 2,000 pairs give a standard

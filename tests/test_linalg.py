@@ -282,6 +282,16 @@ class TestExactFitFloor:
                                               r"zero residuals$"):
             _prefix_ssrs(X, y, 5, "the Dickey-Fuller regression")
 
+    def test_a_corner_past_the_float_range_squares_to_inf(self):
+        y = np.array([1e200, -1e200, 1e200, -1e200])
+        assert _corner_ssr(np.ones((4, 1)), y) == math.inf
+
+    def test_an_overflowed_ssr_is_refused_before_y_y_is_formed(self):
+        # y'y overflows too, and numpy's warning is an error in this suite
+        with pytest.raises(DomainError, match=r"^overflow: this fit has a sum of squared "
+                                              r"residuals past the float range$"):
+            _refuse_exact_fit(math.inf, np.full(10, 1e300), "this fit")
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("t", [40, 200, 2000])
     def test_an_ssr_just_above_the_floor_passes(self, seed, t):

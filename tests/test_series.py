@@ -25,6 +25,7 @@ from longrun.series import (
     Panel,
     RawSeries,
     Series,
+    _lag_design,
     _parse_date,
     _year_month,
     aggregate_monthly,
@@ -679,3 +680,33 @@ class TestLagMatrix:
         assert m.shape == (6, 6)
         for t in range(6):
             assert list(m[t]) == [*data[t + 1], *data[t]]
+
+
+def stacked_design(x, p, others, terms):
+    """The lag design by hand: x[p:] and the columns [1, t][:terms], then lags 1..p of x and
+    then of each of ``others``, every lag block sliced from its series directly."""
+    t = len(x) - p
+    trend = [np.ones((t, 1)), np.arange(1.0, t + 1.0)[:, None]][:terms]
+    blocks = [z.reshape(len(z), -1)[p - j: len(z) - j] for z in (x, *others)
+              for j in range(1, p + 1)]
+    return x[p:], np.hstack([np.empty((t, 0)), *trend, *blocks])
+
+
+class TestLagDesign:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 12), m=st.sampled_from([None, 1, 3]), p=st.integers(0, 5),
+           terms=st.integers(0, 2), n_others=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_a_stack_by_hand(self, n, m, p, terms, n_others, seed):
+        shape = (n,) if m is None else (n, m)
+        x, *others = np.random.default_rng(seed).standard_normal((1 + n_others, *shape))
+        if p >= n:
+            message = rf"^series of length {n} has no rows with {p} lags$"
+            with pytest.raises(TooShort, match=message):
+                _lag_design(x, p, *others, terms=terms)
+            return
+        y, X = _lag_design(x, p, *others, terms=terms)
+        want_y, want_X = stacked_design(x, p, others, terms)
+        assert (y.shape, y.tobytes()) == (want_y.shape, want_y.tobytes())
+        assert (X.shape, X.tobytes()) == (want_X.shape, want_X.tobytes())
+        width = 1 if m is None else m
+        assert X.shape == (n - p, terms + p * width * (1 + n_others))

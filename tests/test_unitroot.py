@@ -402,6 +402,24 @@ class TestExactFit:
             test(make_series(line))
 
 
+class TestOverflow:
+    # a walk scaled by 2^1000 (values near 1e301) has residuals whose squares sum past the
+    # float range: that is its own DomainError, neither a bare OverflowError from the lag
+    # search's corner nor an exact fit read from an SSR of inf
+    WALK = np.cumsum(np.random.default_rng(0).standard_normal(240)) * 2.0 ** 1000
+    MESSAGE = (r"^overflow: the Dickey-Fuller regression has a sum of squared residuals past "
+               r"the float range$")
+
+    def test_adf_lag_search(self):
+        with pytest.raises(DomainError, match=self.MESSAGE):
+            adf_test(make_series(self.WALK), case="none")
+
+    def test_pp(self):
+        # PP's residual sum of squares overflows inside numpy's matmul, which still warns
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match=self.MESSAGE):
+            pp_test(make_series(self.WALK), case="none")
+
+
 def per_prefix_search(x, case, max_lags):
     """The lag search of every column prefix of the widest design through ols_fit's checks,
     in lag order, scored by each fit's own SSR: the differential oracle."""
