@@ -87,14 +87,20 @@ def _factor(X, y):
     return X, y, Q, R
 
 
-def _corner_ssr(X, y, check=False) -> float:
-    """The SSR of y on X, the squared corner of the R of [X y] (Golub & Van Loan, 5.3), from one
-    Q-free QR; with ``check``, X and y are _checked and X's rank certified from the same R.  The
-    corner times itself is inf past the float range, where ``** 2`` raises OverflowError."""
-    X, y = _checked(X, y) if check else (X, y)
-    k = X.shape[1]
-    H = np.linalg.qr(np.column_stack([X, y]), mode="raw")[0].T
-    if check:
+def _corner_ssr(X, y) -> float:
+    """The SSR of y on X, both _checked, from one Q-free QR of [X y] that also certifies X's rank
+    (_raw_corner)."""
+    X, y = _checked(X, y)
+    return _raw_corner(np.column_stack([X, y]), X)
+
+
+def _raw_corner(Xy, X=None) -> float:
+    """The SSR of y on X, the squared corner of the R of Xy = [X y] (Golub & Van Loan, 5.3), from
+    one Q-free QR; given X, X's rank is certified from the same R.  The corner times itself is
+    inf past the float range, where ``** 2`` raises OverflowError."""
+    k = Xy.shape[1] - 1
+    H = np.linalg.qr(Xy, mode="raw")[0].T
+    if X is not None:
         _certify(np.triu(H[:k, :k]), X)  # raw keeps the Householder vectors below the diagonal
     corner = float(H[k, k])
     return corner * corner
@@ -108,7 +114,8 @@ def ols_fit(X, y) -> OlsFit:
     T, k = X.shape
     beta = np.linalg.solve(R, Q.T @ y)
     resid = y - X @ beta
-    ssr = float(resid @ resid)
+    with np.errstate(over="ignore"):  # an SSR past the float range is _refuse_exact_fit's error
+        ssr = float(resid @ resid)
     return OlsFit(beta, resid, ssr, ssr / (T - k), R)
 
 
@@ -123,18 +130,31 @@ def _refuse_exact_fit(ssr: float, y: np.ndarray, what: str) -> float:
     return ssr
 
 
-def _prefix_ssrs(X, y, first: int, what: str) -> list:
-    """The SSR of y on each column prefix X[:, :k], k = first..K, in order, from _corner_ssr and
-    _refuse_exact_fit (``what`` names the regression).  By interlacing no prefix has a worse sv
-    ratio than X, so X alone is checked, by the QR that scores k = K; if it fails, every prefix
-    is checked, in order, so the first prefix to fail either rule raises."""
+def _prefix_ssrs(design, first: int, what: str) -> list:
+    """The SSR of y on each column prefix X[:, :k], k = first..K, in order, each judged by
+    _refuse_exact_fit (``what`` names the regression); ``design()`` builds (y, X).  X and y are
+    laid out once, as one column-major [X y], and the built X, referenced only here, is freed
+    before the first QR; going down from k = K, y overwrites column k, so each [X_k y] is a
+    contiguous prefix of that buffer, which qr copies as one block and LAPACK factors as it would
+    a stack.  By interlacing no prefix has a worse sv ratio than X, so X alone is checked, by the
+    QR that scores k = K; if it fails, every prefix is checked and scored by _corner_ssr, in
+    order, so the first to fail either rule raises."""
+    y, X = design()
     K = X.shape[1]
     try:
-        widest, check = _corner_ssr(X, y, check=True), False
+        X, y = _checked(X, y)
+        Xy = np.empty((len(y), K + 1), order="F")
+        Xy[:, :K], Xy[:, K] = X, y
+        X = Xy[:, :K]  # the built design's last reference
+        ssrs = [_raw_corner(Xy, X)]
     except LongrunError:
-        widest, check = None, True
-    return [_refuse_exact_fit(_corner_ssr(X[:, :k], y, check) if check or k < K else widest,
-                              y, what) for k in range(first, K + 1)]
+        ssrs = None
+    if ssrs is None:  # outside the except, so the error raised is not chained to X's
+        return [_refuse_exact_fit(_corner_ssr(X[:, :k], y), y, what) for k in range(first, K + 1)]
+    for k in range(K - 1, first - 1, -1):
+        Xy[:, k] = y
+        ssrs.append(_raw_corner(Xy[:, :k + 1]))
+    return [_refuse_exact_fit(ssr, y, what) for ssr in reversed(ssrs)]
 
 
 def _t_ratio_first(X, y, what: str) -> tuple:

@@ -155,11 +155,12 @@ def default_max_lags(n: int) -> int:
 def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
     """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows,
     the first minimum on ties.  Each design is a column prefix of the widest, scored by its SSR
-    alone (linalg._prefix_ssrs, which checks the designs and refuses an exact fit)."""
-    y, design, t_common = _df_design(x, case, max_lags)
+    alone (linalg._prefix_ssrs, which checks the designs and refuses an exact fit).  The widest
+    is top lags' design on the rows max_lags leaves, built inside linalg so it can be freed."""
     top = min(max_lags, len(x) - 1 - _MIN_OBS)
-    base = design.shape[1] - max_lags  # x_{t-1} and the deterministic terms
-    ssrs = _prefix_ssrs(design[:, :base + top], y, base, _DF_REGRESSION)
+    base, t_common = 1 + CASES.index(case), len(x) - 1 - max_lags
+    ssrs = _prefix_ssrs(lambda: _df_design(x[max_lags - top:], case, top)[:2], base,
+                        _DF_REGRESSION)
     sbcs = [math.log(ssr / t_common) + (base + lag) * math.log(t_common) / t_common
             for lag, ssr in enumerate(ssrs)]
     return sbcs.index(min(sbcs))

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "longrun"
-QR_PROTOCOL = frozenset({"_factor", "_corner_ssr", "_checked", "_certify", "_solve",
-                         "_unscaled_covariance"})
+QR_PROTOCOL = frozenset({"_factor", "_corner_ssr", "_raw_corner", "_checked", "_certify",
+                         "_solve", "_unscaled_covariance"})
 
 
 def protocol_uses(path: Path) -> list:

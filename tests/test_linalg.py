@@ -219,8 +219,7 @@ class TestRankCertificate:
         # fall back to the SVD of X)
         rng = np.random.default_rng(seed)
         X, y = mixed_design(rng, t, columns[:t - 1], tie), rng.standard_normal(t)
-        assert rank_outcome(_factor, X, y) == rank_outcome(
-            lambda X, y: _corner_ssr(X, y, check=True), X, y)
+        assert rank_outcome(_factor, X, y) == rank_outcome(_corner_ssr, X, y)
 
     def test_a_ratio_of_exactly_rank_rtol_is_rank_deficient(self):
         # orthogonal columns of norms 1 and s: the SVD of X returns exactly 1 and s
@@ -261,11 +260,104 @@ class TestPrefixSsrs:
         rng = np.random.default_rng(first)
         X = np.column_stack([np.ones(80), rng.standard_normal((80, 5))])
         y = X @ rng.standard_normal(6) + rng.standard_normal(80)
-        got = _prefix_ssrs(X, y, first, "this fit")
+        got = _prefix_ssrs(lambda: (y, X), first, "this fit")
         assert [ssr.hex() for ssr in got] == [_corner_ssr(X[:, :k], y).hex()
                                               for k in range(first, 7)]
         assert got == pytest.approx([ols_fit(X[:, :k], y).ssr for k in range(first, 7)],
                                     rel=1e-12)
+
+
+def lag_order_prefix_ssrs(design, first, what):
+    """_prefix_ssrs as it was before its column-major buffer, the differential oracle: X checked
+    and certified by one raw QR of np.column_stack([X, y]), then one such stack and QR per
+    prefix, in lag order, each checked as well if X failed, and each SSR judged as it comes."""
+    y, X = design()
+
+    def corner(X, y, check):
+        X, y = linalg._checked(X, y) if check else (X, y)
+        k = X.shape[1]
+        H = np.linalg.qr(np.column_stack([X, y]), mode="raw")[0].T
+        if check:
+            linalg._certify(np.triu(H[:k, :k]), X)
+        corner = float(H[k, k])
+        return corner * corner
+
+    K = X.shape[1]
+    try:
+        widest, check = corner(X, y, True), False
+    except LongrunError:
+        widest, check = None, True
+    return [_refuse_exact_fit(corner(X[:, :k], y, check) if check or k < K else widest, y, what)
+            for k in range(first, K + 1)]
+
+
+def adf_search(x, case):
+    """(X, y, first) of adf_test's lag search on x: the widest scored design on the common
+    sample of Schwert's cap, its response, and the column count of lag 0."""
+    n, base = len(x), 1 + unitroot.CASES.index(case)
+    cap = min(unitroot.default_max_lags(n), (n - 2 - base + 1) // 2 - 1)
+    y, X, _ = unitroot._df_design(x, case, cap)
+    return X[:, :base + min(cap, n - 21)], y, base
+
+
+def ssrs_outcome(search, X, y, first):
+    """The hex SSRs ``search`` returns, or the type and message it raises and whether that
+    error is raised on its own (not chained to another it was handling)."""
+    try:
+        return [ssr.hex() for ssr in search(lambda: (y, X), first,
+                                            "the Dickey-Fuller regression")]
+    except LongrunError as exc:
+        return type(exc), str(exc), exc.__context__ is None
+
+
+class TestPrefixSsrsDifferential:
+    """_prefix_ssrs scores the prefixes from one column-major buffer, widest first; every SSR
+    and every error must be the lag-order stack-per-prefix search's, bit for bit."""
+
+    def same_outcome(self, x, case):
+        X, y, first = adf_search(x, case)
+        before = X.copy()
+        got = ssrs_outcome(_prefix_ssrs, X, y, first)
+        assert got == ssrs_outcome(lag_order_prefix_ssrs, X, y, first), (len(x), case)
+        assert np.array_equal(X, before)  # the caller's design is read, never written
+        return got
+
+    # 2^40 puts a walk's level about 1e12 times its constant column, so some widest designs
+    # fail their check and every prefix is checked in lag order
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40], ids=["2^-40", "1", "2^40"])
+    @pytest.mark.parametrize("case", unitroot.CASES)
+    @pytest.mark.parametrize("t", [25, 120, 500, 2000])
+    def test_seeded_walks_and_ar1(self, t, case, scale):
+        rng = np.random.default_rng(t)
+        for _ in range(3):
+            e = rng.standard_normal(t)
+            ar1 = np.empty(t)
+            ar1[0] = e[0]
+            for i in range(1, t):
+                ar1[i] = 0.5 * ar1[i - 1] + e[i]
+            for x in (np.cumsum(e), ar1):
+                self.same_outcome(scale * x, case)
+
+    @pytest.mark.parametrize("case, lag", [("none", 3), ("constant", 2), ("constant_trend", 1)])
+    def test_a_collinear_design_whose_widest_prefix_fails(self, case, lag):
+        # dx alternates 1, 2 but for its last value: lag columns j and j + 2 repeat
+        dx = np.tile([1.0, 2.0], 60)
+        dx[-1] = 5.0
+        got = self.same_outcome(np.concatenate([[0.0], np.cumsum(dx)]), case)
+        assert got[0] is RankDeficient
+
+    # (with a trend, x_{t-1} on a line is collinear with the deterministic terms)
+    @pytest.mark.parametrize("line, case", [(np.arange(1.0, 121.0), "none"),
+                                            (3.0 * np.arange(1.0, 121.0) + 7.0, "constant")],
+                             ids=["x none", "3x+7 constant"])
+    def test_a_straight_line_is_an_exact_fit(self, line, case):
+        got = self.same_outcome(line, case)
+        assert got[0] is DomainError and got[1].startswith("exact fit: ")
+
+    def test_the_overflow_walk(self):
+        walk = np.cumsum(np.random.default_rng(0).standard_normal(240)) * 2.0 ** 1000
+        got = self.same_outcome(walk, "none")
+        assert got[0] is DomainError and got[1].startswith("overflow: ")
 
 
 class TestExactFitFloor:
@@ -280,7 +372,7 @@ class TestExactFitFloor:
         _factor(X, y)  # full rank
         with pytest.raises(DomainError, match=r"^exact fit: the Dickey-Fuller regression has "
                                               r"zero residuals$"):
-            _prefix_ssrs(X, y, 5, "the Dickey-Fuller regression")
+            _prefix_ssrs(lambda: (y, X), 5, "the Dickey-Fuller regression")
 
     def test_a_corner_past_the_float_range_squares_to_inf(self):
         y = np.array([1e200, -1e200, 1e200, -1e200])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -289,34 +290,62 @@ class TestAdf:
     # scores lags 0..min(cap, n - 21), each design x_{t-1}, the deterministic terms, the lags
     @pytest.mark.parametrize("case", ["none", "constant", "constant_trend"])
     @pytest.mark.parametrize("n, cap", [(22, 8), (120, 12), (500, 17), (2000, 25)])
-    def test_one_rank_certificate_per_search_and_one_per_final_regression(self, svds, fits,
+    def test_one_rank_certificate_per_search_and_one_per_final_regression(self, svds, monkeypatch,
                                                                           case, n, cap):
+        inputs, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kwargs: inputs.append(
+            (np.shape(a), a.flags.f_contiguous)) or qr(a, *args, **kwargs))
         base, top, rows = 1 + CASES.index(case), min(cap, n - 21), n - 1 - cap
         result = adf_test(walk(8, n=n), case=case)
         final = base + result.lags_or_bandwidth
         assert svds == [(base + top, base + top), (final, final)]
-        # one QR of [X y] per scored lag, the widest first (it also certifies), one final
-        assert fits == [(rows, base + top + 1), *[(rows, base + lag + 1) for lag in range(top)],
-                        (n - 1 - result.lags_or_bandwidth, final)]
+        # one QR of [X y] per scored lag, the widest first (it also certifies), then down to
+        # lag 0, each a column-major prefix of one buffer; then the final regression's
+        assert inputs[:-1] == [((rows, base + lag + 1), True) for lag in range(top, -1, -1)]
+        assert inputs[-1][0] == (n - 1 - result.lags_or_bandwidth, final)
         svds.clear()
         adf_test(walk(8, n=n), case=case, lags=0)
         assert svds == [(base, base)]
 
-    def test_the_search_holds_one_qr_buffer_at_a_time(self, monkeypatch):
-        # the widest [X y] QR (about 440 KB at T = 2000) is dropped once its corner is read,
-        # so no scored lag's QR runs while an earlier one's buffer is still alive
-        buffers, alive, qr = [], [], np.linalg.qr
+    def test_no_qr_output_outlives_its_corner_and_the_design_is_freed_first(self, monkeypatch):
+        # each scored lag keeps only its corner, and the C-ordered design linalg builds for the
+        # search (about 440 KB at T = 2000) is freed once it is copied into linalg's own buffer
+        designs, outputs, seen = [], [], []
+        df_design, qr = unitroot._df_design, np.linalg.qr
 
-        def recording(a, mode="reduced"):
-            alive.append(sum(ref() is not None for ref in buffers))
+        def recording_design(*args):
+            y, X, rows = df_design(*args)
+            designs.append(weakref.ref(X))
+            return y, X, rows
+
+        def recording_qr(a, mode="reduced"):
+            seen.append((sum(ref() is not None for ref in outputs), designs[0]() is not None))
             out = qr(a, mode=mode)
             if mode == "raw":
-                buffers.append(weakref.ref(out[0].base))
+                outputs.append(weakref.ref(out[0].base))
             return out
 
-        monkeypatch.setattr(np.linalg, "qr", recording)
-        adf_test(walk(8, n=500))  # 18 scored lags (0..17), then the final regression
-        assert len(buffers) == 18 and alive == [0] * 19
+        monkeypatch.setattr(unitroot, "_df_design", recording_design)
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        adf_test(walk(8, n=2000))  # 26 scored lags (25..0), then the final regression
+        assert len(designs) == 2 and len(outputs) == 26
+        assert seen == [(0, False)] * 27
+
+    def test_the_search_peaks_near_two_copies_of_its_buffer(self):
+        # the [X y] buffer and the copy qr factors: 2.07 times the buffer's bytes at T = 2000,
+        # where holding the C-ordered design as well read 3.01
+        x = walk(8, n=2000).values
+        top = unitroot.default_max_lags(2000)  # 25, with 1974 common rows
+        for case in CASES:
+            buffer = 1974 * (1 + CASES.index(case) + top + 1) * 8
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                unitroot._select_lags(x, case, top)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * buffer, (case, peak / buffer)
 
     def test_schwerts_cap_at_and_just_below_its_whole_values(self):
         # 12 (n / 100)^(1/4) is exactly 12 at n = 100 and 24 at n = 1600
@@ -415,8 +444,9 @@ class TestOverflow:
             adf_test(make_series(self.WALK), case="none")
 
     def test_pp(self):
-        # PP's residual sum of squares overflows inside numpy's matmul, which still warns
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match=self.MESSAGE):
+        # PP's residual sum of squares overflows inside numpy's matmul, which must not warn:
+        # this suite makes a RuntimeWarning an error
+        with pytest.raises(DomainError, match=self.MESSAGE):
             pp_test(make_series(self.WALK), case="none")
 
 
