@@ -122,10 +122,14 @@ def ols_fit(X, y) -> OlsFit:
 def _refuse_exact_fit(ssr: float, y: np.ndarray, what: str) -> float:
     """The SSR of a fit of y, or DomainError naming ``what`` when the SSR overflowed to inf or
     the fit is exact or within rounding of exact, ssr <= (T eps)^2 y'y, where its residuals and
-    any statistic on them are noise."""
+    any statistic on them are noise.  Below the normal float range that floor, and an SSR under
+    it, have lost their digits, so there a nonzero y is refused as an underflow instead."""
     if ssr == math.inf:
         raise DomainError(f"overflow: {what} has a sum of squared residuals past the float range")
-    if ssr <= (len(y) * np.finfo(float).eps) ** 2 * float(y @ y):
+    floor = (len(y) * np.finfo(float).eps) ** 2 * float(y @ y)
+    if ssr <= floor:
+        if floor < np.finfo(float).tiny and y.any():
+            raise DomainError(f"underflow: {what} has sums of squares below the float range")
         raise DomainError(f"exact fit: {what} has zero residuals")
     return ssr
 
@@ -169,12 +173,21 @@ def _t_ratio_first(X, y, what: str) -> tuple:
 
 def _residual_covariance(X, Y) -> np.ndarray:
     """E'E / T, E the residuals of each column of the T x m block Y on X, factored once by _factor;
-    each column is solved on its own (one Q'Y over all columns would sum in another order)."""
+    each column is solved on its own (one Q'Y over all columns would sum in another order).
+    DomainError when an entry is past the float range, or the variance of a nonzero residual
+    column is below its normal range, where it has lost its digits."""
     X, Y, Q, R = _factor(X, Y)
     E = np.empty_like(Y)
     for i in range(Y.shape[1]):
         E[:, i] = Y[:, i] - X @ np.linalg.solve(R, Q.T @ Y[:, i])
-    return E.T @ E / X.shape[0]
+    with np.errstate(over="ignore"):  # an entry past the float range is the DomainError below
+        S = E.T @ E / X.shape[0]
+    if not np.isfinite(S).all():
+        raise DomainError("overflow: the residual covariance has an entry past the float range")
+    if (np.diag(S) < np.finfo(float).tiny)[E.any(axis=0)].any():
+        raise DomainError("underflow: the residual covariance has a variance below the float "
+                          "range")
+    return S
 
 
 def residuals_of(Y, Z) -> np.ndarray:

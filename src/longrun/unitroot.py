@@ -141,10 +141,10 @@ def long_run_variance(residuals: np.ndarray, bandwidth: int) -> float:
 
 
 def _df_design(x: np.ndarray, case: str, lags: int):
-    """Response dx_t, regressors [x_{t-1}, deterministics, dx lags] and the row count, for the
-    usable sample after losing one difference and ``lags`` lag rows."""
+    """Response dx_t and regressors [x_{t-1}, deterministics, dx lags], for the usable sample
+    after losing one difference and ``lags`` lag rows."""
     y, X = _lag_design(np.diff(x), lags, terms=CASES.index(case))
-    return y, np.hstack([x[lags:-1, None], X]), len(y)
+    return y, np.hstack([x[lags:-1, None], X])
 
 
 def default_max_lags(n: int) -> int:
@@ -152,15 +152,16 @@ def default_max_lags(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def _select_lags(x: np.ndarray, case: str, max_lags: int) -> int:
-    """SBC lag choice on max_lags' common sample, among lags whose final fit keeps _MIN_OBS rows,
-    the first minimum on ties.  Each design is a column prefix of the widest, scored by its SSR
-    alone (linalg._prefix_ssrs, which checks the designs and refuses an exact fit).  The widest
-    is top lags' design on the rows max_lags leaves, built inside linalg so it can be freed."""
-    top = min(max_lags, len(x) - 1 - _MIN_OBS)
-    base, t_common = 1 + CASES.index(case), len(x) - 1 - max_lags
-    ssrs = _prefix_ssrs(lambda: _df_design(x[max_lags - top:], case, top)[:2], base,
-                        _DF_REGRESSION)
+def _select_lags(x: np.ndarray, case: str) -> int:
+    """SBC lag choice, the first minimum on ties, among lags whose final fit keeps _MIN_OBS rows
+    (TooShort if none does), on the common sample of the cap: Schwert's rule, lowered so the
+    widest design keeps more rows than columns.  linalg._prefix_ssrs scores each lag's design, a
+    column prefix of the widest, by its SSR, and builds the widest itself so it can free it."""
+    n, base = len(x), 1 + CASES.index(case)
+    _critical_values(case, n - 1)  # the 20-observation floor, checked before any fit
+    cap = min(default_max_lags(n), (n - 1 - base) // 2 - 1)
+    top, t_common = min(cap, n - 1 - _MIN_OBS), n - 1 - cap
+    ssrs = _prefix_ssrs(lambda: _df_design(x[cap - top:], case, top), base, _DF_REGRESSION)
     sbcs = [math.log(ssr / t_common) + (base + lag) * math.log(t_common) / t_common
             for lag, ssr in enumerate(ssrs)]
     return sbcs.index(min(sbcs))
@@ -171,7 +172,7 @@ def _finish(kind: str, stat: float, case: str, lags_or_bw: int, t_eff: int,
     decision = "stationary" if stat < crit["5%"] else "unit_root"
     return UnitRootResult(
         test_kind=kind,
-        statistic=stat,
+        statistic=float(stat),
         p_value=mackinnon_pvalue(stat, case),
         lags_or_bandwidth=lags_or_bw,
         effective_obs=t_eff,
@@ -186,22 +187,19 @@ def adf_test(s, case: str = "constant", lags: int | None = None) -> UnitRootResu
 
     Regresses dx_t on x_{t-1}, the deterministic terms for ``case`` and
     ``lags`` lagged differences; the statistic is the t ratio on x_{t-1}.
-    With ``lags=None`` the Schwarz criterion picks, on the common sample of
-    ``default_max_lags(n)`` lags, among the lags whose final regression keeps
-    20 observations; that regression is then re-run on the full usable sample.
+    With ``lags=None`` the Schwarz criterion picks, on the common sample of the lag
+    cap (``default_max_lags(n)``, lowered for short series), among the lags whose final
+    regression keeps 20 observations; that regression is then re-run on the full usable sample.
     """
     x = _unit_root_values(s, case)
-    n = len(x)
     if lags is not None and lags < 0:
         raise DomainError("lags must be >= 0")
     if lags is None:
-        _critical_values(case, n - 1)  # the 20-observation floor, checked before any fit
-        cap = min(default_max_lags(n), (n - 2 - CASES.index(case)) // 2 - 1)
-        lags = _select_lags(x, case, cap)
-    crit = _critical_values(case, n - 1 - lags)
-    y, X, t_eff = _df_design(x, case, lags)
+        lags = _select_lags(x, case)
+    crit = _critical_values(case, len(x) - 1 - lags)
+    y, X = _df_design(x, case, lags)
     _, stat, _ = _t_ratio_first(X, y, _DF_REGRESSION)
-    return _finish("adf", stat, case, lags, t_eff, crit)
+    return _finish("adf", stat, case, lags, len(y), crit)
 
 
 def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRootResult:
@@ -220,7 +218,8 @@ def pp_test(s, case: str = "constant", bandwidth: int | None = None) -> UnitRoot
         bandwidth = int(math.floor(4.0 * ((n - 1) / 100.0) ** (2.0 / 9.0)))
     if bandwidth < 0:
         raise DomainError("bandwidth must be >= 0")
-    y, X, t_eff = _df_design(x, case, 0)
+    y, X = _df_design(x, case, 0)
+    t_eff = len(y)
     fit, tau, se_rho = _t_ratio_first(X, y, _DF_REGRESSION)
     gamma0 = fit.ssr / t_eff
     lam2 = long_run_variance(fit.residuals, bandwidth)

@@ -58,6 +58,21 @@ def make_panel(*columns, labels=None, start=(2000, 1)) -> Panel:
     return Panel(labels, start, data)
 
 
+def search_corpus():
+    """Seeded walks, AR(1), cointegrated and causal series: two seeds up to 120 points, then one."""
+    from longrun.synth import ProcessSpec, generate
+
+    causal = (((0.0, 0.0), (0.8, 0.0)),)
+    for n in (*range(21, 31), 60, 120, 500, 2000):
+        for seed in (1, 2) if n <= 120 else (1,):
+            yield generate(ProcessSpec(kind="random_walk", length=n, seed=seed)).values
+            yield generate(ProcessSpec(kind="ar1", length=n, seed=seed, phi=0.5)).values
+            pair = ProcessSpec(kind="cointegrated_pair", length=n, seed=seed, beta=2.0)
+            yield from generate(pair).data.T
+            yield from generate(ProcessSpec(kind="var", length=n, seed=seed,
+                                            coefficients=causal)).data.T
+
+
 @pytest.fixture
 def walk_pair():
     """Two independent seeded random walks as a panel (length 500, seed 16)."""

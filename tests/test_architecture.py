@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "longrun"
-QR_PROTOCOL = frozenset({"_factor", "_corner_ssr", "_raw_corner", "_checked", "_certify",
-                         "_solve", "_unscaled_covariance"})
+QR_PROTOCOL = frozenset({"_factor", "_corner_ssr", "_raw_corner", "_checked", "_certify"})
 
 
 def protocol_uses(path: Path) -> list:
@@ -51,6 +50,12 @@ def test_the_rule_sees_linalg_itself():
     # the same reader finds linalg's own uses, so an empty list elsewhere means something
     uses = {use for _, use in protocol_uses(PACKAGE / "linalg.py")}
     assert {"reads ._r", "uses np.linalg"} <= uses
+
+
+def test_the_protocol_names_only_functions_linalg_defines():
+    # a deleted function left in the list guards nothing
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    assert QR_PROTOCOL <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def lag_matrix_uses(path: Path) -> list:

@@ -21,6 +21,7 @@ from longrun.linalg import (
     _factor,
     _prefix_ssrs,
     _refuse_exact_fit,
+    _residual_covariance,
     _t_ratio_first,
     canonical_correlations,
     log_det,
@@ -296,7 +297,7 @@ def adf_search(x, case):
     sample of Schwert's cap, its response, and the column count of lag 0."""
     n, base = len(x), 1 + unitroot.CASES.index(case)
     cap = min(unitroot.default_max_lags(n), (n - 2 - base + 1) // 2 - 1)
-    y, X, _ = unitroot._df_design(x, case, cap)
+    y, X = unitroot._df_design(x, case, cap)
     return X[:, :base + min(cap, n - 21)], y, base
 
 
@@ -383,6 +384,18 @@ class TestExactFitFloor:
         with pytest.raises(DomainError, match=r"^overflow: this fit has a sum of squared "
                                               r"residuals past the float range$"):
             _refuse_exact_fit(math.inf, np.full(10, 1e300), "this fit")
+
+    def test_a_floor_below_the_float_range_is_an_underflow_unless_y_is_zero(self):
+        # y'y underflows to 0 (1e-300) or leaves the floor (T eps)^2 y'y subnormal (1e-145),
+        # so an SSR of 0 may be a lost one; at 1e-130 the floor is normal and 0 is under it
+        for scale in (1e-300, 1e-145):
+            with pytest.raises(DomainError, match=r"^underflow: this fit has sums of squares "
+                                                  r"below the float range$"):
+                _refuse_exact_fit(0.0, np.array([scale, 0.0] * 5), "this fit")
+        # at T = 2 and y'y = 2^-920 the floor is 2^-1022, the smallest normal float
+        for y in (np.zeros(10), np.array([1e-130, 0.0] * 5), np.array([2.0 ** -460, 0.0])):
+            with pytest.raises(DomainError, match=r"^exact fit: this fit has zero residuals$"):
+                _refuse_exact_fit(0.0, y, "this fit")
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("t", [40, 200, 2000])
@@ -543,6 +556,37 @@ class TestLogDet:
         # symmetry must be checked before it
         with pytest.raises(NotPositiveDefinite, match="^M is not symmetric$"):
             log_det(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
+class TestResidualCovariance:
+    # E'E once overflowed in numpy's matmul (an error in this suite) and then read as a
+    # non-finite M in log_det, or underflowed to a covariance log_det called not positive
+    # definite
+    def test_an_entry_past_the_float_range_is_an_overflow(self):
+        Y = np.array([[1e200, 1.0], [-1e200, 2.0], [3e200, 0.5], [-3e200, 1.0]])
+        with pytest.raises(DomainError, match=r"^overflow: the residual covariance has an entry "
+                                              r"past the float range$"):
+            _residual_covariance(np.ones((4, 1)), Y)
+
+    def test_a_nonzero_residual_column_below_the_float_range_is_an_underflow(self):
+        Y = np.array([[1e-170, 1.0], [-1e-170, 2.0], [3e-170, 0.5], [-3e-170, 1.0]])
+        with pytest.raises(DomainError, match=r"^underflow: the residual covariance has a "
+                                              r"variance below the float range$"):
+            _residual_covariance(np.ones((4, 1)), Y)
+
+    def test_a_variance_of_the_smallest_normal_float_is_in_range(self):
+        a = 2.0 ** -511  # residuals +-a have the variance a^2 = 2^-1022
+        S = _residual_covariance(np.ones((4, 1)), np.array([[a, 1.0], [-a, 2.0], [a, 0.5],
+                                                            [-a, 1.0]]))
+        assert S[0, 0] == np.finfo(float).tiny
+
+    def test_a_zero_residual_column_is_left_to_log_det(self):
+        # an equation that fits exactly gives a singular covariance, not an underflow
+        S = _residual_covariance(np.ones((4, 1)), np.array([[2.0, 1.0], [2.0, 2.0],
+                                                            [2.0, 0.5], [2.0, 1.0]]))
+        assert S[0, 0] == 0.0 and S[1, 1] > 0.0
+        with pytest.raises(NotPositiveDefinite):
+            log_det(S)
 
 
 def test_residuals_of_annihilates_regressors():

@@ -28,7 +28,7 @@ from longrun.unitroot import (
     pp_test,
 )
 
-from conftest import make_series
+from conftest import make_series, search_corpus
 
 
 def walk(seed, n=500):
@@ -314,9 +314,9 @@ class TestAdf:
         df_design, qr = unitroot._df_design, np.linalg.qr
 
         def recording_design(*args):
-            y, X, rows = df_design(*args)
+            y, X = df_design(*args)
             designs.append(weakref.ref(X))
-            return y, X, rows
+            return y, X
 
         def recording_qr(a, mode="reduced"):
             seen.append((sum(ref() is not None for ref in outputs), designs[0]() is not None))
@@ -335,13 +335,13 @@ class TestAdf:
         # the [X y] buffer and the copy qr factors: 2.07 times the buffer's bytes at T = 2000,
         # where holding the C-ordered design as well read 3.01
         x = walk(8, n=2000).values
-        top = unitroot.default_max_lags(2000)  # 25, with 1974 common rows
+        top = unitroot.default_max_lags(2000)  # 25, the cap in every case, with 1974 common rows
         for case in CASES:
             buffer = 1974 * (1 + CASES.index(case) + top + 1) * 8
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                unitroot._select_lags(x, case, top)
+                unitroot._select_lags(x, case)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -379,7 +379,7 @@ class TestAdf:
     def test_t_ratio_bit_identical_to_a_separate_r_factor(self, case, lags):
         # the standard error once came from a second QR of X (mode "r"); the
         # fit's own R factor must give the same bits
-        y, X, _ = _df_design(walk(8).values, case, lags)
+        y, X = _df_design(walk(8).values, case, lags)
         fit, tau, se0 = _t_ratio_first(X, y, "the Dickey-Fuller regression")
         R = np.linalg.qr(X, mode="r")
         r_inv = np.linalg.solve(R, np.eye(R.shape[0]))
@@ -450,10 +450,43 @@ class TestOverflow:
             pp_test(make_series(self.WALK), case="none")
 
 
-def per_prefix_search(x, case, max_lags):
+class TestUnderflow:
+    # a walk scaled to 1e-200 and below has squares below the float range: dx'dx and the SSR
+    # underflow to 0, which once read as an exact fit; a flat series still is one
+    WALK = 100.0 + np.cumsum(np.random.default_rng(0).standard_normal(240))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300, 2.0 ** -1000],
+                             ids=["1e-200", "1e-300", "2^-1000"])
+    @pytest.mark.parametrize("test", [lambda s: adf_test(s, case="none"),
+                                      lambda s: adf_test(s, case="none", lags=0),
+                                      lambda s: pp_test(s, case="none")],
+                             ids=["adf lag search", "adf final regression", "pp"])
+    def test_is_its_own_domain_error(self, test, scale):
+        with pytest.raises(DomainError, match=r"^underflow: the Dickey-Fuller regression has "
+                                              r"sums of squares below the float range$"):
+            test(make_series(scale * self.WALK))
+
+    @pytest.mark.parametrize("test", [adf_test, pp_test], ids=["adf", "pp"])
+    def test_a_flat_series_is_still_an_exact_fit(self, test):
+        with pytest.raises(DomainError, match="^exact fit: "):
+            test(make_series(np.full(120, 3.5e-300)), case="none")
+
+
+class TestStatisticType:
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("test", [adf_test, pp_test], ids=["adf", "pp"])
+    def test_is_a_python_float_as_the_p_value_is(self, test, case):
+        # it was the t ratio's numpy.float64
+        result = test(walk(8), case=case)
+        assert type(result.statistic) is float and type(result.p_value) is float
+
+
+def per_prefix_search(x, case):
     """The lag search of every column prefix of the widest design through ols_fit's checks,
     in lag order, scored by each fit's own SSR: the differential oracle."""
-    y, widest, t_common = _df_design(x, case, max_lags)
+    max_lags = min(unitroot.default_max_lags(len(x)), (len(x) - 2 - CASES.index(case)) // 2 - 1)
+    y, widest = _df_design(x, case, max_lags)
+    t_common = len(y)
     best_lag, best_sbc = 0, math.inf
     for lag in range(min(max_lags, len(x) - 21) + 1):
         k = widest.shape[1] - max_lags + lag
@@ -496,19 +529,6 @@ def same_outcome(monkeypatch, x, case):
     if not isinstance(got, tuple):
         assert judged[-1].hex() == oracle[-1].hex()
     return got, judged
-
-
-def search_corpus():
-    """Seeded walks, AR(1), cointegrated and causal series: two seeds up to 120 points, then one."""
-    causal = (((0.0, 0.0), (0.8, 0.0)),)
-    for n in (*range(21, 31), 60, 120, 500, 2000):
-        for seed in (1, 2) if n <= 120 else (1,):
-            yield generate(ProcessSpec(kind="random_walk", length=n, seed=seed)).values
-            yield generate(ProcessSpec(kind="ar1", length=n, seed=seed, phi=0.5)).values
-            pair = ProcessSpec(kind="cointegrated_pair", length=n, seed=seed, beta=2.0)
-            yield from generate(pair).data.T
-            yield from generate(ProcessSpec(kind="var", length=n, seed=seed,
-                                            coefficients=causal)).data.T
 
 
 class TestOneCertificateSearch:
@@ -591,6 +611,11 @@ class TestPhillipsPerron:
     def test_default_bandwidth_rule(self):
         r = pp_test(walk(8, 200))
         assert r.lags_or_bandwidth == int(math.floor(4.0 * (199 / 100.0) ** (2.0 / 9.0)))
+
+    def test_default_bandwidth_at_and_just_below_its_steps(self):
+        # 4 ((n - 1) / 100)^(2/9) is exactly 4 at n = 101 and first passes 5 at n = 274
+        bandwidths = {n: pp_test(walk(8, n)).lags_or_bandwidth for n in (100, 101, 273, 274)}
+        assert bandwidths == {100: 3, 101: 4, 273: 4, 274: 5}
 
     @pytest.mark.parametrize("a,b", [(3.0, 100.0), (0.01, -5.0)])
     def test_affine_invariance(self, a, b):

@@ -79,6 +79,25 @@ class TestFitVar:
             _var_loglik(make_panel([1.0, 2.0, 3.0], [2.0, 1.0, 2.0]).data, 1)
 
 
+class TestFloatRange:
+    # a default_rng(0) walk pair at level 100, T = 240, scaled to the float range's edges:
+    # the residual covariance once overflowed in numpy's matmul, then read as a non-finite M,
+    # or underflowed to a matrix log_det called not positive definite
+    PAIR = 100.0 + np.cumsum(np.random.default_rng(0).standard_normal((240, 2)), axis=0)
+
+    def test_overflow(self):
+        with pytest.raises(DomainError, match=r"^overflow: the residual covariance has an entry "
+                                              r"past the float range$"):
+            select_lag(make_panel(*(2.0 ** 1000 * self.PAIR).T), 5)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300, 2.0 ** -1000],
+                             ids=["1e-200", "1e-300", "2^-1000"])
+    def test_underflow(self, scale):
+        with pytest.raises(DomainError, match=r"^underflow: the residual covariance has a "
+                                              r"variance below the float range$"):
+            select_lag(make_panel(*(scale * self.PAIR).T), 5)
+
+
 class TestInfoCriteria:
     def test_loglik_non_decreasing_in_lag(self):
         panel = var_panel(15, 500, (((0.5, 0.1), (0.1, 0.5)),))
